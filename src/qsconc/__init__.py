@@ -19,8 +19,6 @@ from .bounds import (
     detect,
     in_regime_a_window,
     in_regime_b_window,
-    lower_bound_regime_a,
-    lower_bound_regime_b,
     pure_state_norm,
 )
 from .closed_forms import (

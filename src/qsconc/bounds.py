@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +44,7 @@ from . import linalg, states
 from .errors import (
     DimensionMismatchError,
     NoApplicableBoundError,
+    RangeError,
     RegimeABoundWindowError,
     RegimeBBoundWindowError,
 )
@@ -110,11 +111,15 @@ def in_regime_b_window(p: ParamPair) -> bool:
     )
 
 
-def _require_regime_a_window(p: ParamPair) -> None:
+def _require_regime_a(norm: float, m: int, p: ParamPair) -> None:
     if not in_regime_a_window(p):
         raise RegimeABoundWindowError(
             f"(q, s) = ({p.q}, {p.s}) outside both regime-A windows: "
             f"need q >= 2 with s >= {REGIME_A_MIN_S} or s >= 1 with q >= {REGIME_A_MIN_Q}"
+        )
+    if norm > 1.0 and (norm - 1.0) ** 2 / (m * (m - 1)) > 1.0:
+        raise RangeError(
+            f"norm {norm} exceeds the regime-A maximum 1 + sqrt(m(m-1)) for m = {m}"
         )
 
 
@@ -133,9 +138,10 @@ def bound_value_regime_a(norm: float, m: int, p: ParamPair) -> float:
 
     A lower bound for pure states, and for mixed states wherever g is
     convex on [1, m] (always at s = 1). For mixed states at s > 1 use
-    ``bound_value_regime_a_hull``.
+    ``bound_value_regime_a_hull``. Raises ``RangeError`` for a norm above
+    1 + sqrt(m(m-1)), where g is undefined.
     """
-    _require_regime_a_window(p)
+    _require_regime_a(norm, m, p)
     if norm <= 1.0:
         return 0.0
     return _regime_a_formula(norm, m, p.q, p.s)
@@ -181,9 +187,9 @@ def bound_value_regime_a_hull(norm: float, m: int, p: ParamPair) -> float:
 
     Equals g up to the tangency point t and the chord from (t, g(t)) to
     (m, g(m)) beyond it; equals g everywhere when g is convex on [1, m].
-    Same window error as the published formula; 0 for norm <= 1.
+    Same window and range errors as the published formula; 0 for norm <= 1.
     """
-    _require_regime_a_window(p)
+    _require_regime_a(norm, m, p)
     if norm <= 1.0:
         return 0.0
     chord = _regime_a_chord(p.q, p.s, m)
@@ -212,38 +218,27 @@ def bound_value_regime_b(norm: float, m: int, p: ParamPair) -> float:
     return max(0.0, pref * (norm**p.s - 1.0))
 
 
-def bound_value_auto(norm: float, m: int, p: ParamPair) -> float:
-    """Dispatch on (q, s) to whichever bound family applies."""
+def _bound_family(p: ParamPair):
+    """The bound function whose window covers (q, s)."""
     if in_regime_a_window(p):
-        return bound_value_regime_a(norm, m, p)
+        return bound_value_regime_a
     if in_regime_b_window(p):
-        return bound_value_regime_b(norm, m, p)
+        return bound_value_regime_b
     raise NoApplicableBoundError(
         f"(q, s) = ({p.q}, {p.s}) is covered by neither bound family"
     )
 
 
-def lower_bound_regime_a(rho: states.DensityMatrix, p: ParamPair) -> BoundReport:
-    rep = detect(rho)
-    val = bound_value_regime_a(rep.max_norm, rep.m, p)
-    return BoundReport(rep.ppt_norm, rep.realign_norm, rep.detected_by, val, rep.m)
-
-
-def lower_bound_regime_b(rho: states.DensityMatrix, p: ParamPair) -> BoundReport:
-    rep = detect(rho)
-    val = bound_value_regime_b(rep.max_norm, rep.m, p)
-    return BoundReport(rep.ppt_norm, rep.realign_norm, rep.detected_by, val, rep.m)
+def bound_value_auto(norm: float, m: int, p: ParamPair) -> float:
+    """Dispatch on (q, s) to whichever bound family applies."""
+    return _bound_family(p)(norm, m, p)
 
 
 def bound_auto(rho: states.DensityMatrix, p: ParamPair) -> BoundReport:
-    """Route to the applicable bound family, or fail if there is none."""
-    if in_regime_a_window(p):
-        return lower_bound_regime_a(rho, p)
-    if in_regime_b_window(p):
-        return lower_bound_regime_b(rho, p)
-    raise NoApplicableBoundError(
-        f"(q, s) = ({p.q}, {p.s}) is covered by neither bound family"
-    )
+    """Detect, then bound with the applicable family, or fail if there is none."""
+    bound = _bound_family(p)
+    rep = detect(rho)
+    return replace(rep, lower_bound=bound(rep.max_norm, rep.m, p))
 
 
 def pure_state_norm(spectrum) -> float:

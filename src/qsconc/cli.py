@@ -6,94 +6,32 @@ CSV ('.' decimal, ',' separator, '#' comments) with a header comment
 recording tool version, command line and seed, so identical invocations
 are byte-identical. Reals print with 12 significant digits.
 
-Exit codes: 0 success, 2 input validation, 3 unsupported parameters,
-4 numerical failure.
+Exit codes follow the error bases of :mod:`qsconc.errors`: 0 success,
+2 input validation, 3 unsupported parameters, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, bounds, closed_forms, inequalities, measures, roof, states
-from .errors import (
-    BadPartitionError,
-    BridgeWindowError,
-    ClosedFormWindowError,
-    DimensionMismatchError,
-    MixedGlobalStateError,
-    MonogamyWindowError,
-    NoApplicableBoundError,
-    NonFiniteError,
-    NotBipartiteError,
-    NotNormalizedError,
-    NotPSDError,
-    NotQubitsError,
-    NotQubitSideError,
-    RangeError,
-    RegimeABoundWindowError,
-    RegimeBBoundWindowError,
-    StateFormatError,
-    TooLargeError,
-    UnsupportedRegimeError,
-)
+from .errors import InputError, NumericError, ParamsError, RangeError, StateFormatError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PARAMS = 3
 EXIT_NUMERIC = 4
 
-_INPUT_ERRORS = (
-    StateFormatError,
-    NotNormalizedError,
-    DimensionMismatchError,
-    NotBipartiteError,
-    NotPSDError,
-    NotQubitsError,
-    NotQubitSideError,
-    MixedGlobalStateError,
-    BadPartitionError,
-    RangeError,
-    OSError,
-)
-_PARAM_ERRORS = (
-    UnsupportedRegimeError,
-    NoApplicableBoundError,
-    RegimeABoundWindowError,
-    RegimeBBoundWindowError,
-    BridgeWindowError,
-    ClosedFormWindowError,
-    MonogamyWindowError,
-    TooLargeError,
-)
-
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    start: float
-    stop: float
-    step: float
-
-    def points(self) -> np.ndarray:
-        if self.step <= 0:
-            raise RangeError(f"sweep step must be positive, got {self.step}")
-        if self.start >= self.stop:
-            raise RangeError(f"sweep needs start < stop, got {self.start}:{self.stop}")
-        count = int(np.floor((self.stop - self.start) / self.step + 1e-9))
-        if count > 1_000_000:
-            raise RangeError(f"sweep has {count + 1} points, above the 1e6 cap")
-        return self.start + self.step * np.arange(count + 1)
-
-
-def parse_sweep(text: str) -> SweepSpec:
+def parse_sweep(text: str) -> np.ndarray:
+    """Points START, START + STEP, ... up to STOP of a START:STOP:STEP sweep."""
     parts = text.split(":")
     if len(parts) != 3:
         raise RangeError(f"sweep must be START:STOP:STEP, got {text!r}")
@@ -101,7 +39,14 @@ def parse_sweep(text: str) -> SweepSpec:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise RangeError(f"sweep fields must be numbers: {exc}") from exc
-    return SweepSpec(start, stop, step)
+    if step <= 0:
+        raise RangeError(f"sweep step must be positive, got {step}")
+    if start >= stop:
+        raise RangeError(f"sweep needs start < stop, got {start}:{stop}")
+    count = int(np.floor((stop - start) / step + 1e-9))
+    if count > 1_000_000:
+        raise RangeError(f"sweep has {count + 1} points, above the 1e6 cap")
+    return start + step * np.arange(count + 1)
 
 
 def _csv_header(args: argparse.Namespace, argv: list[str]) -> str:
@@ -125,13 +70,9 @@ def _write_rows(out_path, header_comment: str, columns: list[str],
         sys.stdout.write(text)
 
 
-def _load_state(path: str):
-    return states.load_state_json(path)
-
-
 def cmd_compute(args, argv) -> int:
     p = measures.classify(args.q, args.s)
-    state = _load_state(args.state)
+    state = states.load_state_json(args.state)
     if isinstance(state, states.PureState):
         if args.normalized:
             mv = measures.normalized_cqs_pure(state, p)
@@ -152,7 +93,7 @@ def cmd_compute(args, argv) -> int:
 
 def cmd_bound(args, argv) -> int:
     p = measures.classify(args.q, args.s)
-    state = _load_state(args.state)
+    state = states.load_state_json(args.state)
     if isinstance(state, states.PureState):
         state = state.to_density()
     rep = bounds.bound_auto(state, p)
@@ -164,44 +105,31 @@ def cmd_bound(args, argv) -> int:
     return EXIT_OK
 
 
-def _closed_form_row(family: str, x: float, q: float, s: float, d: int,
-                     envelope) -> list[float]:
-    if family == "isotropic":
-        threshold = 1.0 / d
-        xi = closed_forms.isotropic_curve(x, q, s, d) if x > threshold else 0.0
-        norm, m = d * x, d
-        ref = (
-            closed_forms.reference_q_concurrence_isotropic(x, 3)
-            if d == 3
-            else float("nan")
-        )
-    else:
-        threshold = 0.5
-        xi = closed_forms.werner_curve(x, q, s) if x > threshold else 0.0
-        norm, m = 2.0 * x, 2
-        ref = closed_forms.reference_c3t_werner(x)
-    p = measures.classify(q, s)
-    try:
-        lower = bounds.bound_value_auto(max(1.0, norm), m, p)
-    except NoApplicableBoundError:
-        lower = float("nan")
-    return [x, xi, envelope(x), lower, ref]
-
-
 def cmd_closed_form(args, argv) -> int:
     q, s, d = args.q, args.s, args.d
-    if args.family == "isotropic":
+    isotropic = args.family == "isotropic"
+    if isotropic:
         env = closed_forms.isotropic_envelope(q, s, d)
     else:
         env = closed_forms.werner_envelope(q, s)
-    xs = parse_sweep(args.sweep).points()
+    xs = parse_sweep(args.sweep)
     xs = xs[(xs >= 0.0) & (xs <= 1.0 + 1e-12)]
-
-    def row(x: float) -> list[float]:
-        return _closed_form_row(args.family, float(min(x, 1.0)), q, s, d, env)
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(row, xs))
+    p = measures.classify(q, s)
+    has_bound = bounds.in_regime_a_window(p) or bounds.in_regime_b_window(p)
+    nan = float("nan")
+    rows = []
+    for x in xs:
+        x = float(min(x, 1.0))
+        if isotropic:
+            xi = closed_forms.isotropic_curve(x, q, s, d) if x > 1.0 / d else 0.0
+            norm, m = d * x, d
+            ref = closed_forms.reference_q_concurrence_isotropic(x, 3) if d == 3 else nan
+        else:
+            xi = closed_forms.werner_curve(x, q, s) if x > 0.5 else 0.0
+            norm, m = 2.0 * x, 2
+            ref = closed_forms.reference_c3t_werner(x)
+        lower = bounds.bound_value_auto(max(1.0, norm), m, p) if has_bound else nan
+        rows.append([x, xi, env(x), lower, ref])
     _write_rows(args.out, _csv_header(args, argv),
                 ["x", "xi", "envelope", "lower_bound", "reference_curve"], rows)
     return EXIT_OK
@@ -224,9 +152,9 @@ def cmd_monogamy(args, argv) -> int:
     if (args.state is None) == (args.gen3 is None):
         raise RangeError("provide exactly one of --state or --gen3")
     s_values = args.s if args.s else [1.0]
-    qs = parse_sweep(args.sweep).points() if args.sweep else [args.q or 2.0]
+    qs = parse_sweep(args.sweep) if args.sweep else [args.q or 2.0]
     gen3 = _parse_gen3(args.gen3) if args.gen3 else None
-    psi = _load_state(args.state) if args.state else None
+    psi = states.load_state_json(args.state) if args.state else None
 
     def residual(q: float, s: float) -> inequalities.MonogamyReport:
         p = measures.classify(q, s)
@@ -246,7 +174,7 @@ def cmd_monogamy(args, argv) -> int:
 
 def cmd_polygon(args, argv) -> int:
     p = measures.classify(args.q, args.s)
-    state = _load_state(args.state)
+    state = states.load_state_json(args.state)
     if not isinstance(state, states.PureState):
         raise StateFormatError("polygon check needs a pure state file")
     rep = inequalities.polygon_check(state, p)
@@ -257,7 +185,7 @@ def cmd_polygon(args, argv) -> int:
 
 def cmd_roof(args, argv) -> int:
     p = measures.classify(args.q, args.s)
-    state = _load_state(args.state)
+    state = states.load_state_json(args.state)
     if isinstance(state, states.PureState):
         state = state.to_density()
     cfg = roof.RoofConfig(
@@ -339,16 +267,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args, argv)
-    except _PARAM_ERRORS as exc:
+    except ParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NonFiniteError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (NumericError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
 
 if __name__ == "__main__":
     sys.exit(main())

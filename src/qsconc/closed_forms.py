@@ -4,7 +4,9 @@ For both families the measure is the convex envelope of a scalar curve:
 the minimal pure-state measure at fixed fidelity F (isotropic) or fixed
 antisymmetric weight w (Werner). The curve is convex near the
 separability threshold but loses convexity before the right endpoint,
-so the envelope is completed by a straight segment.
+so the envelope is completed by a straight segment. For some (q, s, d),
+e.g. (10, 0.2, 8), the isotropic curve is also concave on an interior
+stretch.
 
 Two segment constructions are provided:
 
@@ -12,8 +14,9 @@ Two segment constructions are provided:
   inflection point to the right endpoint. This is the construction the
   published piecewise results use.
 * ``method="tangent"``: straight line from the point where the chord to
-  the right endpoint is tangent to the curve. This is the true convex
-  envelope; it starts lower and keeps the junction kink-free.
+  the right endpoint is tangent to the curve, plus a chord over each
+  interior concave stretch. This is the true convex envelope (the lower
+  convex hull); it starts lower and keeps the junctions kink-free.
 
 The inflection construction is NOT convex at the junction (the curve's
 slope there exceeds the chord slope), and on the segment it sits
@@ -33,6 +36,8 @@ from .errors import ClosedFormWindowError, NonFiniteError, RangeError
 
 SECOND_DIFF_STEP = 1e-4
 BISECT_WIDTH = 1e-6
+HULL_TOL = 1e-12
+CHORD_ROUNDS = 3
 
 
 def _require_closed_form_params(q: float, s: float) -> None:
@@ -92,6 +97,33 @@ def second_difference(curve: Callable[[float], float], x: float,
     return val
 
 
+def _bisect_last_sign_change(fn: Callable[[float], float],
+                             xs: np.ndarray) -> float | None:
+    """Scan ``fn`` on the grid ``xs`` and bisect its last sign change.
+
+    Refines the bracketing grid interval to a width below 1e-6; None if
+    ``fn`` keeps its sign on the grid.
+    """
+    vals = np.array([fn(float(x)) for x in xs])
+    signs = np.sign(vals)
+    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    if flips.size == 0:
+        return None
+    i = int(flips[-1])
+    x_lo, x_hi = float(xs[i]), float(xs[i + 1])
+    f_lo = vals[i]
+    while x_hi - x_lo > BISECT_WIDTH:
+        mid = 0.5 * (x_lo + x_hi)
+        f_mid = fn(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            x_lo, f_lo = mid, f_mid
+        else:
+            x_hi = mid
+    return 0.5 * (x_lo + x_hi)
+
+
 def find_breakpoint(curve: Callable[[float], float], domain: tuple[float, float],
                     step: float = SECOND_DIFF_STEP, samples: int = 800) -> float:
     """Largest root of the numerical second derivative inside ``domain``.
@@ -104,68 +136,72 @@ def find_breakpoint(curve: Callable[[float], float], domain: tuple[float, float]
     lo, hi = a + 2 * step, b - 2 * step
     if hi <= lo:
         raise RangeError(f"domain {domain} too narrow for step {step}")
-    xs = np.linspace(lo, hi, samples)
-    d2 = np.array([second_difference(curve, float(x), step) for x in xs])
-    signs = np.sign(d2)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if flips.size == 0:
-        return b
-    i = int(flips[-1])
-    x_lo, x_hi = float(xs[i]), float(xs[i + 1])
-    f_lo = d2[i]
-    while x_hi - x_lo > BISECT_WIDTH:
-        mid = 0.5 * (x_lo + x_hi)
-        f_mid = second_difference(curve, mid, step)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            x_lo, f_lo = mid, f_mid
-        else:
-            x_hi = mid
-    return 0.5 * (x_lo + x_hi)
+    knot = _bisect_last_sign_change(lambda x: second_difference(curve, x, step),
+                                    np.linspace(lo, hi, samples))
+    return b if knot is None else knot
 
 
-def _tangency_point(curve: Callable[[float], float], domain: tuple[float, float],
-                    step: float = SECOND_DIFF_STEP) -> float:
-    """Point x* where the chord to the right endpoint is tangent to the curve.
+def _hull_chords(curve: Callable[[float], float], domain: tuple[float, float],
+                 step: float = SECOND_DIFF_STEP,
+                 samples: int = 400) -> list[tuple[float, float]]:
+    """Chords ``(x0, x1)`` of the lower convex hull of ``curve`` on ``domain``.
 
-    Solves curve'(x*) = (curve(b) - curve(x*)) / (b - x*) by bisection;
-    equivalently the stationary point of the chord slope.
+    The hull of the curve sampled on a grid plus the right endpoint b
+    locates the chords: its edges that skip samples. Each chord end other
+    than b is then refined, next to its hull vertex, to where the chord
+    touches the curve: a sign change of
+    curve'(x) - (curve(other) - curve(x)) / (other - x), with ``other``
+    the chord's far end. A chord ending at b starts at the maximum of the
+    chord slope to b, the steepest chord that stays below the curve.
     """
     a, b = domain
-    fb = curve(b)
+    xs = np.append(np.linspace(a + 2 * step, b - 2 * step, samples), b)
+    ys = np.array([curve(float(x)) for x in xs])
 
-    def gap(x: float) -> float:
-        deriv = (curve(x + step) - curve(x - step)) / (2 * step)
-        return deriv - (fb - curve(x)) / (b - x)
+    def above_chord(i: int, j: int, k: int) -> bool:
+        chord = ys[i] + (ys[k] - ys[i]) * (xs[j] - xs[i]) / (xs[k] - xs[i])
+        return ys[j] - chord > HULL_TOL
 
-    lo, hi = a + 2 * step, b - 2 * step
-    g_lo = gap(lo)
-    xs = np.linspace(lo, hi, 400)
-    x_prev, g_prev = lo, g_lo
-    bracket = None
-    for x in xs[1:]:
-        g = gap(float(x))
-        if g_prev * g < 0:
-            bracket = (x_prev, float(x), g_prev)
-            break
-        x_prev, g_prev = float(x), g
-    if bracket is None:
-        return b
-    x_lo, x_hi, g_lo = bracket
-    while x_hi - x_lo > BISECT_WIDTH:
-        mid = 0.5 * (x_lo + x_hi)
-        g_mid = gap(mid)
-        if (g_mid > 0) == (g_lo > 0):
-            x_lo, g_lo = mid, g_mid
+    hull: list[int] = []
+    for k in range(xs.size):
+        while len(hull) >= 2 and above_chord(hull[-2], hull[-1], k):
+            hull.pop()
+        hull.append(k)
+
+    def touch(i: int, other: float) -> float:
+        f_other = curve(other)
+
+        def gap(x: float) -> float:
+            deriv = (curve(x + step) - curve(x - step)) / (2 * step)
+            return deriv - (f_other - curve(x)) / (other - x)
+
+        x = _bisect_last_sign_change(gap, xs[max(i - 1, 0):min(i + 2, samples)])
+        return float(xs[i]) if x is None else x
+
+    chords = []
+    for i, j in zip(hull, hull[1:]):
+        if j == i + 1:
+            continue
+        x0, x1 = float(xs[i]), float(xs[j])
+        if j == samples:
+            x0 = touch(i, b)
         else:
-            x_hi = mid
-    return 0.5 * (x_lo + x_hi)
+            # Each round squares the error of the pair: the two ends of a
+            # chord between two convex arcs depend on each other.
+            for _ in range(CHORD_ROUNDS):
+                x0 = touch(i, x1)
+                x1 = touch(j, x0)
+        chords.append((x0, x1))
+    return chords
 
 
 @dataclass(frozen=True)
 class EnvelopeCurve:
-    """Piecewise measure curve: zero region, analytic region, linear tail."""
+    """Piecewise measure curve: zero region, analytic region, linear tail.
+
+    On each ``bridges`` interval (x0, x1) left of the breakpoint the
+    curve is replaced by its chord.
+    """
 
     sep_threshold: float
     breakpoint: float
@@ -173,6 +209,7 @@ class EnvelopeCurve:
     intercept: float
     analytic: Callable[[float], float]
     right: float = 1.0
+    bridges: tuple[tuple[float, float], ...] = ()
 
     def __call__(self, x: float) -> float:
         if not 0.0 <= x <= self.right + 1e-12:
@@ -180,27 +217,38 @@ class EnvelopeCurve:
         if x <= self.sep_threshold:
             return 0.0
         if x <= self.breakpoint:
+            for x0, x1 in self.bridges:
+                if x0 < x < x1:
+                    f0 = self.analytic(x0)
+                    return f0 + (self.analytic(x1) - f0) * (x - x0) / (x1 - x0)
             return self.analytic(x)
         return self.slope * min(x, self.right) + self.intercept
 
 
 def build_envelope(curve: Callable[[float], float], domain: tuple[float, float],
                    sep_threshold: float, method: str = "inflection") -> EnvelopeCurve:
-    """Complete a losing-convexity curve with a straight tail segment."""
+    """Complete a losing-convexity curve with a straight tail segment.
+
+    The tangent method also bridges any interior stretch where the curve
+    is not convex.
+    """
     a, b = domain
     if method == "inflection":
-        knot = find_breakpoint(curve, domain)
+        knot, bridges = find_breakpoint(curve, domain), ()
     elif method == "tangent":
-        knot = _tangency_point(curve, domain)
+        chords = _hull_chords(curve, domain)
+        knot = chords.pop()[0] if chords and chords[-1][1] == b else b
+        bridges = tuple(chords)
     else:
         raise RangeError(f"unknown envelope method {method!r}")
     if knot >= b:
         step = SECOND_DIFF_STEP
         slope = (curve(b) - curve(b - step)) / step
-        return EnvelopeCurve(sep_threshold, b, slope, curve(b) - slope * b, curve, b)
+        return EnvelopeCurve(sep_threshold, b, slope, curve(b) - slope * b, curve, b,
+                             bridges)
     slope = (curve(b) - curve(knot)) / (b - knot)
     intercept = curve(b) - slope * b
-    return EnvelopeCurve(sep_threshold, knot, slope, intercept, curve, b)
+    return EnvelopeCurve(sep_threshold, knot, slope, intercept, curve, b, bridges)
 
 
 @lru_cache(maxsize=128)

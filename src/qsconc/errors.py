@@ -1,91 +1,108 @@
 """Typed exceptions raised across the toolkit.
 
-Everything derives from ValueError so callers can catch broadly; the
-specific classes exist so tests and the CLI can map failures to causes
-(bad input vs. parameters outside a validity window vs. numerical
-breakdown).
+Everything derives from ValueError so callers can catch broadly. Each
+specific class derives from exactly one of three bases, which name the
+cause and fix the CLI exit code: ``InputError`` (bad input, exit 2),
+``ParamsError`` ((q, s) or size outside a validity window, exit 3) and
+``NumericError`` (numerical breakdown, exit 4).
 """
 
 
-class NonSquareError(ValueError):
+class InputError(ValueError):
+    """Input data or an argument is invalid."""
+
+
+class ParamsError(ValueError):
+    """Parameters fall outside the window where a result holds."""
+
+
+class NumericError(ValueError):
+    """A numerical evaluation broke down."""
+
+
+class NonSquareError(InputError):
     """Matrix operation requires a square matrix."""
 
 
-class NonHermitianError(ValueError):
+class NonHermitianError(InputError):
     """Matrix violates the Hermitian symmetry tolerance."""
 
 
-class NotPSDError(ValueError):
+class NotPSDError(InputError):
     """Matrix has an eigenvalue below the PSD tolerance."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(InputError):
     """Declared subsystem dimensions do not match the array shape."""
 
 
-class RangeError(ValueError):
+class RangeError(InputError):
     """Scalar argument outside its admissible range."""
 
 
-class NotBipartiteError(ValueError):
+class NotBipartiteError(InputError):
     """Requested split does not define a valid bipartition."""
 
 
-class NotNormalizedError(ValueError):
+class NotNormalizedError(InputError):
     """State vector or coefficient set violates normalization."""
 
 
-class StateFormatError(ValueError):
+class NonFiniteInputError(InputError):
+    """State holds a NaN or infinite entry."""
+
+
+class StateFormatError(InputError):
     """State file does not conform to the JSON state schema."""
 
 
-class UnsupportedRegimeError(ValueError):
+class UnsupportedRegimeError(ParamsError):
     """(q, s) falls in neither admissible sign-factor regime."""
 
 
-class NotQubitSideError(ValueError):
+class NotQubitSideError(InputError):
     """Operation requires the first subsystem to be a qubit."""
 
 
-class BridgeWindowError(ValueError):
+class BridgeWindowError(ParamsError):
     """(q, s) outside the window where the concurrence bridge identity holds."""
 
 
-class RegimeABoundWindowError(ValueError):
+class RegimeABoundWindowError(ParamsError):
     """(q, s) outside both validity windows of the regime-A norm bound."""
 
 
-class RegimeBBoundWindowError(ValueError):
+class RegimeBBoundWindowError(ParamsError):
     """(q, s) outside the validity window of the regime-B norm bound."""
 
 
-class NoApplicableBoundError(ValueError):
+class NoApplicableBoundError(ParamsError):
     """No norm-based lower bound covers this (q, s)."""
 
 
-class ClosedFormWindowError(ValueError):
+class ClosedFormWindowError(ParamsError):
     """(q, s) outside the window where the symmetric-state closed forms hold."""
 
 
-class MonogamyWindowError(ValueError):
+class MonogamyWindowError(ParamsError):
     """(q, s) not usable for the monogamy residual (needs regime A with q > 1)."""
 
 
-class NotQubitsError(ValueError):
+class NotQubitsError(InputError):
     """Operation is defined for qubit subsystems only."""
 
 
-class MixedGlobalStateError(ValueError):
+class MixedGlobalStateError(InputError):
     """Global state must be pure; the one-to-rest term has no computable roof."""
 
 
-class BadPartitionError(ValueError):
+class BadPartitionError(InputError):
     """Subsystem grouping is empty, overlapping, or out of range."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(NumericError):
     """Numerical evaluation produced a non-finite value."""
 
 
-class TooLargeError(ValueError):
+class TooLargeError(ParamsError):
     """Problem size exceeds the supported desk scale."""

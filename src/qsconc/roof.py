@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, measures, states
-from .errors import TooLargeError, UnsupportedRegimeError
+from .errors import (
+    DimensionMismatchError,
+    NumericError,
+    RangeError,
+    TooLargeError,
+    UnsupportedRegimeError,
+)
 
 MAX_SIDE = 16
 WEIGHT_FLOOR = 1e-14
@@ -32,6 +38,10 @@ class RoofConfig:
     step_decay: float = 0.97  # shrink factor applied on each rejected move
     seed: int = 0
     tolerance: float = 1e-6
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise RangeError(f"restarts must be at least 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,7 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
             f"(q, s) = ({p.q}, {p.s}) is in neither admissible regime"
         )
     if rho.n_parties != 2:
-        raise ValueError(f"need a bipartite state, dims={rho.dims}")
+        raise DimensionMismatchError(f"need a bipartite state, dims={rho.dims}")
     da, db = rho.dims
     side = da * db
     if side > MAX_SIDE:
@@ -93,9 +103,9 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
     keep = w > 1e-12
     mu, vecs = w[keep], v[:, keep]
     rank = int(mu.size)
-    length = cfg.decomposition_length or 2 * rank
+    length = 2 * rank if cfg.decomposition_length is None else cfg.decomposition_length
     if length < rank:
-        raise ValueError(f"decomposition length {length} below rank {rank}")
+        raise RangeError(f"decomposition length {length} below rank {rank}")
     a0 = vecs * np.sqrt(mu)  # column j = sqrt(mu_j)|e_j>
 
     def objective(u: np.ndarray) -> float:
@@ -148,7 +158,7 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
     )
     residual = float(np.max(np.abs(recon - rho.matrix)))
     if residual > 1e-7:
-        raise AssertionError(f"decomposition reconstruction residual {residual:.2e}")
+        raise NumericError(f"decomposition reconstruction residual {residual:.2e}")
     return RoofResult(float(best_val), best_weights, best_states, converged)
 
 

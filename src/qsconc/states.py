@@ -27,6 +27,8 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    NonFiniteInputError,
+    NonHermitianError,
     NotBipartiteError,
     NotNormalizedError,
     NotPSDError,
@@ -54,6 +56,8 @@ class PureState:
             raise DimensionMismatchError(
                 f"dims {self.dims} need {math.prod(self.dims)} amplitudes, got {amps.size}"
             )
+        if not np.isfinite(amps).all():
+            raise NonFiniteInputError("amplitudes hold a NaN or infinite entry")
         nrm = float(np.sum(np.abs(amps) ** 2))
         if abs(nrm - 1.0) > NORM_TOL:
             raise NotNormalizedError(f"sum |amplitude|^2 = {nrm!r}, expected 1")
@@ -86,8 +90,10 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"dims {self.dims} need a {side}x{side} matrix, got {m.shape}"
             )
+        if not np.isfinite(m).all():
+            raise NonFiniteInputError("matrix holds a NaN or infinite entry")
         if np.max(np.abs(m - m.conj().T)) > 1e-9:
-            raise NotNormalizedError("matrix is not Hermitian within 1e-9")
+            raise NonHermitianError("matrix is not Hermitian within 1e-9")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-9:
             raise NotNormalizedError(f"trace = {tr!r}, expected 1")
@@ -211,29 +217,20 @@ def isotropic(f: float, d: int) -> DensityMatrix:
 def werner(w: float, d: int) -> DensityMatrix:
     """Werner state with antisymmetric weight ``w`` on C^d x C^d.
 
-    Built from |Phi_ik^+-> = (|ik> +- |ki>)/sqrt(2): weight 2(1-w)/(d(d+1))
-    on each symmetric basis state and 2w/(d(d-1)) on each antisymmetric one.
+    rho = a I + b F with F the swap |ik> -> |ki>: weight 2(1-w)/(d(d+1)) on
+    the symmetric subspace and 2w/(d(d-1)) on the antisymmetric one.
     """
     if not 0.0 <= w <= 1.0:
         raise RangeError(f"w must be in [0, 1], got {w}")
     if d < 2:
         raise RangeError(f"need d >= 2, got {d}")
-    rho = np.zeros((d * d, d * d), dtype=complex)
     sym_w = 2.0 * (1.0 - w) / (d * (d + 1))
     asym_w = 2.0 * w / (d * (d - 1))
-    for i in range(d):
-        v = np.zeros(d * d, dtype=complex)
-        v[i * d + i] = 1.0
-        rho += sym_w * np.outer(v, v.conj())
-    for i in range(d):
-        for k in range(i + 1, d):
-            plus = np.zeros(d * d, dtype=complex)
-            plus[i * d + k] = plus[k * d + i] = 1 / math.sqrt(2)
-            minus = np.zeros(d * d, dtype=complex)
-            minus[i * d + k] = 1 / math.sqrt(2)
-            minus[k * d + i] = -1 / math.sqrt(2)
-            rho += sym_w * np.outer(plus, plus.conj())
-            rho += asym_w * np.outer(minus, minus.conj())
+    n = d * d
+    rho = np.zeros((n, n), dtype=complex)
+    rho.flat[:: n + 1] = 0.5 * (sym_w + asym_w)
+    idx = np.arange(n)
+    rho[idx % d * d + idx // d, idx] += 0.5 * (sym_w - asym_w)
     return DensityMatrix((d, d), rho)
 
 

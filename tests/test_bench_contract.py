@@ -1,0 +1,73 @@
+"""What the benchmark harness in ``bench/`` relies on from the library.
+
+The harness checks the CLI's stdout against recorded digests and, in its
+traced mode, wraps library attributes by name; these tests keep both
+working.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+from qsconc import closed_forms as cf
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def bench_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module
+
+
+def test_cli_stdout_matches_recorded_digests(bench_module, tmp_path, monkeypatch):
+    """Every closed-form line at all variants and the other lines at variant 0."""
+    workloads = bench_module("workloads")
+    digests = json.loads(workloads.DIGESTS_PATH.read_text())
+    monkeypatch.chdir(tmp_path)
+    workloads.write_cli_pool()
+    commands = list(workloads.cli_commands(0))
+    for v in range(1, workloads.CLI_VARIANTS):
+        commands += [a for a in workloads.cli_commands(v) if a[0] == "closed-form"]
+    assert sum(a[0] == "closed-form" for a in commands) == 16
+    for argv in commands:
+        cf.isotropic_envelope.cache_clear()
+        cf.werner_envelope.cache_clear()
+        rc, text = workloads.run_cli(argv)
+        assert rc == 0, argv
+        assert workloads.digest(text) == digests[" ".join(argv)], argv
+
+
+def test_traced_attributes_exist(bench_module):
+    targets = bench_module("layers").Layers().tracer.targets
+    names = {t.name for t in targets}
+    assert {"states.DensityMatrix", "bounds.bound_value_auto", "bounds.bound_auto",
+            "closed_forms.find_breakpoint", "states.werner", "cli.main"} <= names
+    for t in targets:
+        assert callable(getattr(t.owner, t.attr)), t.name
+    assert callable(cf.isotropic_envelope.cache_clear)
+    assert callable(cf.werner_envelope.cache_clear)
+
+
+def test_build_envelope_gets_the_curve_first(monkeypatch):
+    seen = []
+    build = cf.build_envelope
+
+    def spy(*args, **kwargs):
+        seen.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cf, "build_envelope", spy)
+    for make in (cf.isotropic_envelope, cf.werner_envelope):
+        make.cache_clear()
+    try:
+        cf.isotropic_envelope(2, 2, 3)
+        cf.werner_envelope(3, 2)
+    finally:
+        cf.isotropic_envelope.cache_clear()
+        cf.werner_envelope.cache_clear()
+    assert len(seen) == 2
+    assert seen[0](0.5) == cf.isotropic_curve(0.5, 2, 2, 3)
+    assert seen[1](0.75) == cf.werner_curve(0.75, 3, 2)

@@ -6,6 +6,7 @@ import pytest
 from qsconc import bounds, closed_forms as cf, measures, states
 from qsconc.errors import (
     NoApplicableBoundError,
+    RangeError,
     RegimeABoundWindowError,
     RegimeBBoundWindowError,
 )
@@ -51,12 +52,14 @@ class TestRegimeAWindow:
     def test_error_raised_outside(self):
         rho = states.max_entangled(2).to_density()
         with pytest.raises(RegimeABoundWindowError):
-            bounds.lower_bound_regime_a(rho, measures.classify(2, 1))
+            bounds.bound_value_regime_a(
+                bounds.detect(rho).max_norm, 2, measures.classify(2, 1)
+            )
 
 
 class TestRegimeABound:
     def test_separable_clamps_to_zero(self):
-        rep = bounds.lower_bound_regime_a(
+        rep = bounds.bound_auto(
             product_pure().to_density(), measures.classify(2, 2)
         )
         assert rep.lower_bound == 0.0
@@ -65,14 +68,14 @@ class TestRegimeABound:
         # Derived oracle: the bound at norms 3F, m=3, (2,2) equals
         # 1 - (5/6 - (3F^2 - 2F)/2)^2.
         for f in [0.4, 0.6, 0.8, 0.95]:
-            rep = bounds.lower_bound_regime_a(
+            rep = bounds.bound_auto(
                 states.isotropic(f, 3), measures.classify(2, 2)
             )
             expected = max(0.0, 1 - (5 / 6 - (3 * f**2 - 2 * f) / 2) ** 2)
             assert rep.lower_bound == pytest.approx(expected, abs=1e-9)
 
     def test_f_06_value(self):
-        rep = bounds.lower_bound_regime_a(
+        rep = bounds.bound_auto(
             states.isotropic(0.6, 3), measures.classify(2, 2)
         )
         assert rep.lower_bound == pytest.approx(0.2019556, abs=1e-6)
@@ -81,7 +84,7 @@ class TestRegimeABound:
     @pytest.mark.parametrize("q,s", [(2, 2), (3, 2), (2.5, 1.2)])
     def test_max_entangled_saturates_measure_maximum(self, m, q, s):
         p = measures.classify(q, s)
-        rep = bounds.lower_bound_regime_a(states.max_entangled(m).to_density(), p)
+        rep = bounds.bound_auto(states.max_entangled(m).to_density(), p)
         assert rep.lower_bound == pytest.approx(1 - m ** (s * (1 - q)), abs=1e-9)
 
 
@@ -146,6 +149,17 @@ class TestRegimeAHull:
             bounds.bound_value_regime_a_hull(2.0, 3, measures.classify(q, s))
 
 
+@pytest.mark.parametrize(
+    "bound", [bounds.bound_value_regime_a, bounds.bound_value_regime_a_hull]
+)
+def test_regime_a_norm_above_maximum_is_range_error(bound):
+    # g needs (N-1)^2 <= m(m-1); at m = 2 the largest norm is 1 + sqrt(2).
+    p = measures.classify(2, 1.5)
+    with pytest.raises(RangeError):
+        bound(5.0, 2, p)
+    assert bound(1.0 + 2**0.5, 2, p) > 0.0
+
+
 class TestRegimeBBound:
     def test_window(self):
         assert bounds.in_regime_b_window(measures.classify(0.5, 0.5))
@@ -156,17 +170,19 @@ class TestRegimeBBound:
     def test_s_one_rejected_with_reason(self):
         rho = states.max_entangled(2).to_density()
         with pytest.raises(RegimeBBoundWindowError, match="s=1"):
-            bounds.lower_bound_regime_b(rho, measures.classify(0.5, 1.0))
+            bounds.bound_value_regime_b(
+                bounds.detect(rho).max_norm, 2, measures.classify(0.5, 1.0)
+            )
 
     def test_separable_zero(self):
-        rep = bounds.lower_bound_regime_b(
+        rep = bounds.bound_auto(
             product_pure().to_density(), measures.classify(0.5, 0.5)
         )
         assert rep.lower_bound == 0.0
 
     def test_bell_tight(self):
         p = measures.classify(0.5, 0.5)
-        rep = bounds.lower_bound_regime_b(states.max_entangled(2).to_density(), p)
+        rep = bounds.bound_auto(states.max_entangled(2).to_density(), p)
         expected = 2**0.25 - 1
         assert rep.lower_bound == pytest.approx(expected, abs=1e-12)
         exact = measures.cqs_pure(states.max_entangled(2), p).value

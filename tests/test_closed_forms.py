@@ -174,6 +174,18 @@ class TestEnvelope:
         left_slope = (env(env.breakpoint) - env(env.breakpoint - h)) / h
         assert left_slope > env.slope + 0.1
 
+    @pytest.mark.parametrize("q,s,d", [(10, 0.2, 8), (8, 0.25, 8), (10, 0.2, 16)])
+    def test_tangent_envelope_is_hull_of_curve_with_interior_concavity(self, q, s, d):
+        # Here the curve is concave on an interior stretch as well as near
+        # F = 1, so its chord slope to the endpoint has several stationary
+        # points; the envelope must still stay below the curve and be convex.
+        env = cf.isotropic_envelope(q, s, d, method="tangent")
+        xs = np.linspace(1 / d + 1e-4, 1.0, 3001)
+        vals = np.array([env(float(x)) for x in xs])
+        curve = np.array([cf.isotropic_curve(float(x), q, s, d) for x in xs])
+        assert np.max(vals - curve) <= 1e-12
+        assert np.min(np.diff(vals, 2)) >= -1e-12
+
     def test_tangent_junction_is_smooth(self):
         env = cf.isotropic_envelope(2, 2, 3, method="tangent")
         h = 1e-5

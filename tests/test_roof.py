@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from qsconc import bounds, measures, roof, states
-from qsconc.errors import TooLargeError, UnsupportedRegimeError
+from qsconc.errors import (
+    DimensionMismatchError,
+    RangeError,
+    TooLargeError,
+    UnsupportedRegimeError,
+)
 
 FAST = roof.RoofConfig(restarts=4, iterations=200, seed=3)
 
@@ -111,6 +116,21 @@ class TestGuards:
         rho = states.random_mixed((2, 2), 2, seed=0)
         with pytest.raises(UnsupportedRegimeError):
             roof.roof_estimate(rho, measures.classify(0.5, 3), FAST)
+
+    def test_no_restarts_rejected(self):
+        with pytest.raises(RangeError):
+            roof.RoofConfig(restarts=0)
+
+    def test_zero_length_rejected(self):
+        rho = states.random_mixed((2, 2), 2, seed=0)
+        cfg = roof.RoofConfig(decomposition_length=0, restarts=1, iterations=10)
+        with pytest.raises(RangeError):
+            roof.roof_estimate(rho, measures.classify(2, 1), cfg)
+
+    def test_not_bipartite(self):
+        rho = states.DensityMatrix((2, 2, 2), np.eye(8, dtype=complex) / 8)
+        with pytest.raises(DimensionMismatchError):
+            roof.roof_estimate(rho, measures.classify(2, 1), FAST)
 
     def test_length_below_rank_rejected(self):
         rho = states.random_mixed((2, 2), 3, seed=0)

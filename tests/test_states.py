@@ -9,6 +9,8 @@ import pytest
 from qsconc import linalg, measures, states
 from qsconc.errors import (
     DimensionMismatchError,
+    InputError,
+    NonHermitianError,
     NotBipartiteError,
     NotNormalizedError,
     RangeError,
@@ -83,6 +85,22 @@ class TestIsotropic:
         psi = states.max_entangled(d).amplitudes
         assert (psi.conj() @ rho.matrix @ psi).real == pytest.approx(f, abs=1e-12)
 
+    @pytest.mark.parametrize("w,d", [(0.0, 2), (0.3, 3), (0.75, 5), (1.0, 4)])
+    def test_matches_outer_product_construction(self, w, d):
+        # Reference: weight 2(1-w)/(d(d+1)) on each symmetric basis state
+        # |ii>, (|ik> + |ki>)/sqrt(2) and 2w/(d(d-1)) on each (|ik> - |ki>)/sqrt(2).
+        sym_w = 2.0 * (1.0 - w) / (d * (d + 1))
+        asym_w = 2.0 * w / (d * (d - 1))
+        want = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            want[i * d + i, i * d + i] += sym_w
+            for k in range(i + 1, d):
+                for sign, weight in ((1, sym_w), (-1, asym_w)):
+                    v = np.zeros(d * d, dtype=complex)
+                    v[i * d + k], v[k * d + i] = 1 / math.sqrt(2), sign / math.sqrt(2)
+                    want += weight * np.outer(v, v.conj())
+        assert np.max(np.abs(states.werner(w, d).matrix - want)) <= 1e-15
+
     def test_twirl_invariance(self):
         rho = states.isotropic(0.6, 3).matrix
         for seed in range(20):
@@ -124,6 +142,22 @@ class TestWerner:
     def test_separable_region_ppt(self, w):
         pt = linalg.partial_transpose(states.werner(w, 2).matrix, (2, 2))
         assert linalg.hermitian_eigenvalues(pt)[-1] >= -1e-9
+
+    @pytest.mark.parametrize("w,d", [(0.0, 2), (0.3, 3), (0.75, 5), (1.0, 4)])
+    def test_matches_outer_product_construction(self, w, d):
+        # Reference: weight 2(1-w)/(d(d+1)) on each symmetric basis state
+        # |ii>, (|ik> + |ki>)/sqrt(2) and 2w/(d(d-1)) on each (|ik> - |ki>)/sqrt(2).
+        sym_w = 2.0 * (1.0 - w) / (d * (d + 1))
+        asym_w = 2.0 * w / (d * (d - 1))
+        want = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            want[i * d + i, i * d + i] += sym_w
+            for k in range(i + 1, d):
+                for sign, weight in ((1, sym_w), (-1, asym_w)):
+                    v = np.zeros(d * d, dtype=complex)
+                    v[i * d + k], v[k * d + i] = 1 / math.sqrt(2), sign / math.sqrt(2)
+                    want += weight * np.outer(v, v.conj())
+        assert np.max(np.abs(states.werner(w, d).matrix - want)) <= 1e-15
 
     def test_twirl_invariance(self):
         rho = states.werner(0.7, 2).matrix
@@ -216,6 +250,23 @@ class TestValidation:
     def test_density_psd_enforced(self):
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(Exception):
+            states.DensityMatrix((2,), m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_input_errors(self, bad):
+        v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        v[1] = bad
+        with pytest.raises(InputError):
+            states.PureState((2, 2), v)
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 3] = bad
+        with pytest.raises(InputError):
+            states.DensityMatrix((2, 2), m)
+
+    def test_non_hermitian_density_named(self):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = 0.2
+        with pytest.raises(NonHermitianError):
             states.DensityMatrix((2,), m)
 
 
