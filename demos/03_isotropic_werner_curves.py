@@ -8,6 +8,9 @@ the piecewise data, compares the default (inflection) and true
 curves, and writes sweep CSVs.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from qsconc import (
@@ -73,7 +76,7 @@ print("== CSV export (same columns as the CLI closed-form command) ==")
 fs = np.arange(0.34, 1.0001, 0.02)
 rows = [(f, isotropic_curve(f, 2, 2, 3) if f > 1 / 3 else 0.0,
          cqs_isotropic(f, 2, 2, 3)) for f in fs]
-path = "isotropic_d3_22.csv"
+path = os.path.join(tempfile.mkdtemp(prefix="qsconc-demo-"), "isotropic_d3_22.csv")
 with open(path, "w") as fh:
     fh.write("x,xi,envelope\n")
     for r in rows:

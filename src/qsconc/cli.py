@@ -39,6 +39,8 @@ def parse_sweep(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise RangeError(f"sweep fields must be numbers: {exc}") from exc
+    if not all(np.isfinite((start, stop, step))):
+        raise RangeError(f"sweep fields must be finite, got {text!r}")
     if step <= 0:
         raise RangeError(f"sweep step must be positive, got {step}")
     if start >= stop:
@@ -107,6 +109,7 @@ def cmd_bound(args, argv) -> int:
 
 def cmd_closed_form(args, argv) -> int:
     q, s, d = args.q, args.s, args.d
+    p = measures.classify(q, s)
     isotropic = args.family == "isotropic"
     if isotropic:
         env = closed_forms.isotropic_envelope(q, s, d)
@@ -114,7 +117,6 @@ def cmd_closed_form(args, argv) -> int:
         env = closed_forms.werner_envelope(q, s)
     xs = parse_sweep(args.sweep)
     xs = xs[(xs >= 0.0) & (xs <= 1.0 + 1e-12)]
-    p = measures.classify(q, s)
     has_bound = bounds.in_regime_a_window(p) or bounds.in_regime_b_window(p)
     nan = float("nan")
     rows = []

@@ -256,6 +256,8 @@ def isotropic_envelope(q: float, s: float, d: int,
                        method: str = "inflection") -> EnvelopeCurve:
     """Envelope of the isotropic curve over fidelity in [1/d, 1]."""
     _require_closed_form_params(q, s)
+    if d < 2:
+        raise RangeError(f"need d >= 2, got {d}")
 
     def curve(f: float) -> float:
         return isotropic_curve(f, q, s, d)

@@ -62,8 +62,8 @@ class MeasureValue:
 
 def classify(q: float, s: float) -> ParamPair:
     """Classify (q, s) into regime A (eps=+1), regime B (eps=-1) or unsupported."""
-    if q <= 0 or s <= 0:
-        raise RangeError(f"q and s must be positive, got q={q}, s={s}")
+    if not (0 < q < math.inf and 0 < s < math.inf):
+        raise RangeError(f"q and s must be positive and finite, got q={q}, s={s}")
     if q >= 1 and q * s >= 1:
         return ParamPair(float(q), float(s), Regime.A, +1)
     if q < 1 and q * s < 1:

@@ -1,10 +1,10 @@
 """Numerical convex-roof estimator for mixed-state measures.
 
-Every length-L pure-state decomposition of rho = sum_j mu_j |e_j><e_j|
-arises as sqrt(p_i)|psi_i> = sum_j U_ij sqrt(mu_j)|e_j> for an L x r
-isometry U (U†U = I). The estimator minimizes the ensemble-averaged
-pure-state measure over U by seeded random restarts plus an accept/
-reject local search of two-row Givens rotations with an adaptive step.
+A length-L pure-state decomposition of rho is a matrix phi with
+phi phi† = rho whose column k is sqrt(p_k)|psi_k>. The estimator
+minimizes the ensemble-averaged pure-state measure over phi by seeded
+random restarts plus an accept/reject local search that mixes two
+columns of phi by a Givens rotation with an adaptive step.
 
 The result is an UPPER estimate of the roof infimum: the search can
 stall, never undershoot. Treat ``estimate`` accordingly.
@@ -28,6 +28,7 @@ from .errors import (
 
 MAX_SIDE = 16
 WEIGHT_FLOOR = 1e-14
+STEP_DECAY = 0.97  # shrink factor applied on each rejected move
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,16 @@ class RoofConfig:
     decomposition_length: int | None = None  # default: 2 * rank
     restarts: int = 32
     iterations: int = 2000
-    step_decay: float = 0.97  # shrink factor applied on each rejected move
     seed: int = 0
     tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.restarts < 1:
             raise RangeError(f"restarts must be at least 1, got {self.restarts}")
+        if self.iterations < 0:
+            raise RangeError(f"iterations must be nonnegative, got {self.iterations}")
+        if self.seed < 0:
+            raise RangeError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -61,27 +65,13 @@ class SandwichReport:
 
 def _ensemble_average(phi: np.ndarray, da: int, db: int, q: float, s: float,
                       eps: int) -> float:
-    """sum_i p_i * C_{q,s}(phi_i / sqrt(p_i)) for subnormalized columns phi."""
-    mats = phi.T.reshape(-1, da, db)
-    sv = np.linalg.svd(mats, compute_uv=False)
-    lam = sv * sv  # rows sum to p_i
+    """sum_k p_k * C_{q,s}(phi_k / sqrt(p_k)) for subnormalized columns phi."""
+    sv = np.linalg.svd(phi.T.reshape(-1, da, db), compute_uv=False)
+    lam = sv * sv  # rows sum to p_k
     p = lam.sum(axis=1)
-    total = 0.0
-    for k in range(lam.shape[0]):
-        if p[k] < WEIGHT_FLOOR:
-            continue
-        t = float(np.sum((lam[k] / p[k]) ** q))
-        total += p[k] * eps * (1.0 - t**s)
-    return total
-
-
-def _givens_rows(u: np.ndarray, i: int, j: int, theta: float, phase: float) -> np.ndarray:
-    v = u.copy()
-    c, sn = math.cos(theta), math.sin(theta)
-    e = complex(math.cos(phase), math.sin(phase))
-    v[i, :] = c * u[i, :] - e * sn * u[j, :]
-    v[j, :] = np.conj(e) * sn * u[i, :] + c * u[j, :]
-    return v
+    live = p >= WEIGHT_FLOOR
+    t = np.sum((lam[live] / p[live, None]) ** q, axis=1)
+    return float(np.sum(p[live] * eps * (1.0 - t**s)))
 
 
 def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
@@ -107,12 +97,10 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
     if length < rank:
         raise RangeError(f"decomposition length {length} below rank {rank}")
     a0 = vecs * np.sqrt(mu)  # column j = sqrt(mu_j)|e_j>
-
-    def objective(u: np.ndarray) -> float:
-        return _ensemble_average(a0 @ u.T, da, db, p.q, p.s, p.epsilon)
+    args = (da, db, p.q, p.s, p.epsilon)
 
     best_val = math.inf
-    best_u = None
+    best_phi = None
     converged = False
     for restart in range(cfg.restarts):
         rng = np.random.default_rng((cfg.seed, restart))
@@ -123,7 +111,8 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
                 (length, rank)
             )
             u, _ = np.linalg.qr(z)
-        val = objective(u)
+        phi = a0 @ u.T
+        val = _ensemble_average(phi, *args)
         step = 0.5
         checkpoint = val
         checkpoint_at = int(0.75 * cfg.iterations)
@@ -132,34 +121,33 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
             i, j = rng.choice(length, size=2, replace=False)
             theta = step * rng.standard_normal()
             phase = step * rng.standard_normal()
-            cand = _givens_rows(u, int(i), int(j), theta, phase)
-            cand_val = objective(cand)
+            c, sn = math.cos(theta), math.sin(theta)
+            e = complex(math.cos(phase), math.sin(phase))
+            g = np.array([[c, e.conjugate() * sn], [-e * sn, c]])
+            cand = phi.copy()
+            cand[:, [i, j]] = phi[:, [i, j]] @ g
+            cand_val = _ensemble_average(cand, *args)
             if cand_val < val - 1e-15:
-                u, val = cand, cand_val
+                phi, val = cand, cand_val
                 step = min(step * 1.1, 1.0)
             else:
-                step = max(step * cfg.step_decay, 1e-4)
+                step = max(step * STEP_DECAY, 1e-4)
             if t == checkpoint_at:
                 checkpoint = val
         if val < best_val:
-            best_val, best_u = val, u
+            best_val, best_phi = val, phi
             converged = (checkpoint - val) <= cfg.tolerance
-    assert best_u is not None
 
-    phi = a0 @ best_u.T
-    weights = np.sum(np.abs(phi) ** 2, axis=0)
-    order = [k for k in range(length) if weights[k] > WEIGHT_FLOOR]
-    best_states = [
-        states.PureState((da, db), phi[:, k] / math.sqrt(weights[k])) for k in order
-    ]
-    best_weights = weights[order]
-    recon = sum(
-        wk * st.projector() for wk, st in zip(best_weights, best_states)
-    )
-    residual = float(np.max(np.abs(recon - rho.matrix)))
+    residual = float(np.max(np.abs(best_phi @ best_phi.conj().T - rho.matrix)))
     if residual > 1e-7:
         raise NumericError(f"decomposition reconstruction residual {residual:.2e}")
-    return RoofResult(float(best_val), best_weights, best_states, converged)
+    weights = np.sum(np.abs(best_phi) ** 2, axis=0)
+    order = weights > WEIGHT_FLOOR
+    best_states = [
+        states.PureState((da, db), col / math.sqrt(wk))
+        for col, wk in zip(best_phi.T[order], weights[order])
+    ]
+    return RoofResult(float(best_val), weights[order], best_states, converged)
 
 
 def roof_estimate_normalized(rho: states.DensityMatrix, p: measures.ParamPair,

@@ -144,6 +144,10 @@ class GenSchmidt3:
 
     def __post_init__(self):
         lams = self.lams
+        if not all(math.isfinite(x) for x in (*lams, self.phi)):
+            raise NonFiniteInputError(
+                f"generalized-Schmidt parameters must be finite, got {(*lams, self.phi)}"
+            )
         if any(l < 0 for l in lams):
             raise RangeError("generalized-Schmidt amplitudes must be nonnegative")
         s = sum(l * l for l in lams)

@@ -43,11 +43,39 @@ class TestDecomposition:
         assert np.sum(res.best_weights) == pytest.approx(1.0, abs=1e-9)
         assert res.estimate >= 0
 
+    def test_estimate_is_weighted_sum_of_term_measures(self):
+        p = measures.classify(2, 1)
+        for rho in (states.random_mixed((2, 2), 3, seed=11), states.werner(0.75, 2)):
+            res = roof.roof_estimate(rho, p, FAST)
+            total = sum(
+                w * measures.cqs_pure(st, p, split=0).value
+                for w, st in zip(res.best_weights, res.best_states)
+            )
+            assert res.estimate == pytest.approx(total, abs=1e-12)
+
     def test_deterministic_per_seed(self):
         rho = states.random_mixed((2, 2), 2, seed=4)
         a = roof.roof_estimate(rho, measures.classify(2, 1), FAST).estimate
         b = roof.roof_estimate(rho, measures.classify(2, 1), FAST).estimate
         assert a == b
+
+
+class TestPinnedStreams:
+    """Estimates recorded before the search moved from the isometry to phi.
+
+    A change of the per-restart RNG streams or of the step rule moves
+    these values far beyond the tolerance.
+    """
+
+    @pytest.mark.parametrize("rho, qs, seed, expected", [
+        (states.random_mixed((2, 2), 2, seed=7000), (2, 1), 11, 0.02262818102991294),
+        (states.random_mixed((2, 3), 3, seed=21), (0.5, 0.5), 4, 0.1387329387203161),
+        (states.isotropic(0.8, 2), (3, 2), 9, 0.5144208445400686),
+    ])
+    def test_estimate_matches_record(self, rho, qs, seed, expected):
+        cfg = roof.RoofConfig(restarts=3, iterations=150, seed=seed)
+        res = roof.roof_estimate(rho, measures.classify(*qs), cfg)
+        assert res.estimate == pytest.approx(expected, abs=1e-12)
 
 
 class TestBridgeCrossCheck:
@@ -120,6 +148,18 @@ class TestGuards:
     def test_no_restarts_rejected(self):
         with pytest.raises(RangeError):
             roof.RoofConfig(restarts=0)
+
+    @pytest.mark.parametrize("field", ["seed", "iterations"])
+    def test_negative_config_rejected(self, field):
+        with pytest.raises(RangeError):
+            roof.RoofConfig(**{field: -1})
+
+    def test_zero_iterations_keeps_start(self):
+        rho = states.random_mixed((2, 2), 2, seed=0)
+        res = roof.roof_estimate(
+            rho, measures.classify(2, 1), roof.RoofConfig(restarts=1, iterations=0)
+        )
+        assert len(res.best_weights) == 2
 
     def test_zero_length_rejected(self):
         rho = states.random_mixed((2, 2), 2, seed=0)

@@ -10,6 +10,7 @@ from qsconc import linalg, measures, states
 from qsconc.errors import (
     DimensionMismatchError,
     InputError,
+    NonFiniteInputError,
     NonHermitianError,
     NotBipartiteError,
     NotNormalizedError,
@@ -188,6 +189,13 @@ class TestGenSchmidt3:
     def test_not_normalized_rejected(self):
         with pytest.raises(NotNormalizedError):
             states.GenSchmidt3(1.0, 0.5, 0, 0, 0)
+
+    @pytest.mark.parametrize("field", range(6))
+    def test_non_finite_parameter_rejected(self, field):
+        vals = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        vals[field] = math.nan
+        with pytest.raises(NonFiniteInputError):
+            states.GenSchmidt3(*vals[:5], phi=vals[5])
 
     def test_phase_enters_amplitude(self):
         psi = states.gen_schmidt3(
