@@ -38,6 +38,11 @@ SECOND_DIFF_STEP = 1e-4
 BISECT_WIDTH = 1e-6
 HULL_TOL = 1e-12
 CHORD_ROUNDS = 3
+# Largest isotropic dimension whose envelope was checked against the curve.
+# Above about 5e9 the inflection scan misses the knot near 1/d and returns
+# the raw, non-convex curve (at (2, 2), F = 0.9: 0.99990 where the
+# envelope is 0.90009).
+MAX_ISOTROPIC_D = 10**9
 
 
 def _require_closed_form_params(q: float, s: float) -> None:
@@ -256,8 +261,8 @@ def isotropic_envelope(q: float, s: float, d: int,
                        method: str = "inflection") -> EnvelopeCurve:
     """Envelope of the isotropic curve over fidelity in [1/d, 1]."""
     _require_closed_form_params(q, s)
-    if d < 2:
-        raise RangeError(f"need d >= 2, got {d}")
+    if not 2 <= d <= MAX_ISOTROPIC_D:
+        raise RangeError(f"need 2 <= d <= {MAX_ISOTROPIC_D}, got {d}")
 
     def curve(f: float) -> float:
         return isotropic_curve(f, q, s, d)

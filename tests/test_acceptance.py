@@ -246,6 +246,42 @@ def test_criterion_09_roof_matches_bridge():
     _report("09 roof vs bridge identity", worst <= 5e-3, f"worst |err| = {worst:.2e}")
 
 
+EXACT_ROOF_PAIRS = ((2, 1), (2, 2), (3, 1))
+EXACT_ROOF_STATES = (
+    [("isotropic", 3, f) for f in (0.5, 0.8, 0.95)]
+    + [("werner", 3, w) for w in (0.6, 0.8, 0.95)]
+    + [("isotropic", 4, f) for f in (0.5, 0.8)]
+)
+
+
+def test_criterion_09b_roof_matches_exact_isotropic_werner():
+    """Roof estimates at d = 3 and 4 against the exact tangent envelopes.
+
+    The search gives an upper estimate, so the gap estimate - exact may
+    not go below -1e-9. Most points land within 2e-11 of the exact
+    value, but the search has local minima: at 3x3 isotropic F = 0.8,
+    (q, s) = (3, 1) most seeds stop at +5.81e-4, and 4x4 isotropic
+    F = 0.8, (2, 1) has one near +9.6e-4. The upper side is therefore
+    1e-3, which those minima fit under; measured over seeds 0-11.
+    """
+    cfg = roof.RoofConfig(restarts=4, iterations=400)
+    lo, hi = math.inf, -math.inf
+    for family, d, x in EXACT_ROOF_STATES:
+        if family == "isotropic":
+            rho = states.isotropic(x, d)
+        else:
+            rho = states.werner(x, d)
+        for q, s in EXACT_ROOF_PAIRS:
+            if family == "isotropic":
+                exact = cf.cqs_isotropic(x, q, s, d, method="tangent")
+            else:
+                exact = cf.cqs_werner(x, q, s, method="tangent")
+            gap = roof.roof_estimate(rho, measures.classify(q, s), cfg).estimate - exact
+            lo, hi = min(lo, gap), max(hi, gap)
+    _report("09b roof vs exact isotropic/Werner at d = 3, 4", -1e-9 <= lo and hi <= 1e-3,
+            f"estimate - exact in [{lo:.2e}, {hi:.2e}]")
+
+
 def test_criterion_10_monogamy():
     pairs = [
         measures.classify(*qs)

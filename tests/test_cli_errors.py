@@ -72,7 +72,8 @@ def test_non_hermitian_state_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option", [["--restarts", "0"], ["--length", "0"],
-                                    ["--seed", "-1"], ["--iterations", "-5"]])
+                                    ["--seed", "-1"], ["--iterations", "-5"],
+                                    ["--length", "100000000"], ["--restarts", "257"]])
 def test_degenerate_roof_options_exit_2(bell_file, capsys, option):
     code, err = run(["roof", "--state", bell_file, "--q", "2", "--s", "1",
                      "--iterations", "5", *option], capsys)
@@ -89,8 +90,10 @@ def test_degenerate_roof_options_exit_2(bell_file, capsys, option):
     ["closed-form", "werner", "--q", "nan", "--s", "2", "--sweep", "0.5:1:0.1"],
     ["monogamy", "--gen3", "1,0,0,0,0,nan"],
     ["monogamy", "--gen3", "nan,0,0,0,0,0", "--s", "1", "--q", "2"],
+    ["closed-form", "isotropic", "--q", "2", "--s", "2", "--d", "10000000000",
+     "--sweep", "0.4:1:0.1"],
 ], ids=["sweep-nan", "sweep-inf", "monogamy-sweep-inf", "d-0", "q-inf", "q-nan",
-        "gen3-phi-nan", "gen3-amp-nan"])
+        "gen3-phi-nan", "gen3-amp-nan", "d-above-limit"])
 def test_non_finite_or_degenerate_options_exit_2(argv, capsys):
     code, err = run(argv, capsys)
     assert code == 2

@@ -198,6 +198,12 @@ class TestEnvelope:
         for x in np.linspace(1 / 3 + 1e-6, 1.0, 400):
             assert tang(float(x)) <= infl(float(x)) + 1e-9
 
+    def test_dimension_limit(self):
+        # The largest supported d still gets the chord from the threshold.
+        assert cf.isotropic_envelope(2, 2, cf.MAX_ISOTROPIC_D)(0.9) < 0.901
+        with pytest.raises(RangeError):
+            cf.isotropic_envelope(2, 2, cf.MAX_ISOTROPIC_D + 1)
+
 
 class TestScalarEvaluators:
     def test_separable_region_zero(self):
