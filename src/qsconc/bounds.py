@@ -18,16 +18,24 @@ bound on the (q,s)-concurrence:
 
 with N = max of the two norms and m = min(dA, dB).
 
-The published regime-A formula g is a lower bound for pure states, and
-for mixed states wherever g is convex on [1, m]. Its mixed-state
-extension applies Jensen's inequality, which needs that convexity; for
-s > 1 g has an inflection at (N-1)^2 = m(m-1)/(2s-1), and when that lies
-below m the formula exceeds the true measure of some mixed states (the
-isotropic family at (q, s) = (2, 2), d = 3, near maximal fidelity).
-``bound_value_regime_a_hull`` is the sound mixed-state bound: the lower
-convex hull of g on [1, m], which is convex, nondecreasing and <= g, so
-C(rho) >= sum_i p_i hull(N_i) >= hull(N(rho)) for every pure
-decomposition. ``bound_value_regime_a``, ``bound_value_auto``,
+Neither published formula is a lower bound everywhere in its window,
+not even for pure states. Regime A at m = 2 exceeds the measure of some
+two-qubit pure states for q in about [2.2, 2.75] with s in [1, 1.5] (by
+4.5e-3 at (q, s) = (2.5, 1)); regime B exceeds it at (0.8, 0.5) and
+(0.9, 0.9) (by 9.4e-3 and 8.6e-3 at Schmidt weight 0.9634).
+``TestPublishedBoundsUnsoundOnPureStates`` in ``tests/test_bounds.py``
+pins these states.
+
+The regime-A mixed-state extension also applies Jensen's inequality,
+which needs g convex on [1, m]; for s > 1 g has an inflection at
+(N-1)^2 = m(m-1)/(2s-1), and when that lies below m the formula exceeds
+the true measure of some mixed states (the isotropic family at
+(q, s) = (2, 2), d = 3, near maximal fidelity).
+``bound_value_regime_a_hull``, the lower convex hull of g on [1, m],
+removes that second defect: it is convex, nondecreasing and <= g, so
+C(rho) >= sum_i p_i hull(N_i) >= hull(N(rho)) wherever g is a lower
+bound on pure states. It inherits the pure-state defect above (at
+s = 1 the hull is g). ``bound_value_regime_a``, ``bound_value_auto``,
 ``bound_auto`` and the CLI keep the published value g.
 """
 
@@ -37,6 +45,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -127,24 +136,36 @@ def _regime_a_prefactor(m: int, q: float, s: float) -> float:
     return (1.0 - float(m) ** (s * (1.0 - q))) / (1.0 - float(m) ** (-s))
 
 
-def _regime_a_formula(norm: float, m: int, q: float, s: float) -> float:
+def _regime_a_bound(m: int, q: float, s: float) -> Callable[[float], float]:
+    """Unchecked core of ``bound_value_regime_a`` at fixed (m, q, s).
+
+    Returns norm -> g(norm), 0 for norm <= 1.
+    """
     pref = _regime_a_prefactor(m, q, s)
-    inner = 1.0 - (norm - 1.0) ** 2 / (m * (m - 1))
-    return max(0.0, pref * (1.0 - inner**s))
+    c = m * (m - 1)
+
+    def g(norm: float) -> float:
+        if norm <= 1.0:
+            return 0.0
+        inner = 1.0 - (norm - 1.0) ** 2 / c
+        return max(0.0, pref * (1.0 - inner**s))
+
+    return g
 
 
 def bound_value_regime_a(norm: float, m: int, p: ParamPair) -> float:
     """Published regime-A formula g from a known max norm; 0 for norm <= 1.
 
-    A lower bound for pure states, and for mixed states wherever g is
-    convex on [1, m] (always at s = 1). For mixed states at s > 1 use
-    ``bound_value_regime_a_hull``. Raises ``RangeError`` for a norm above
-    1 + sqrt(m(m-1)), where g is undefined.
+    NOT a lower bound everywhere in its window, even for pure states: at
+    m = 2 it exceeds the measure of some two-qubit pure states for q in
+    about [2.2, 2.75] with s in [1, 1.5] (by 4.5e-3 at (2.5, 1), pinned in
+    ``tests/test_bounds.py``). For mixed states at s > 1 it also fails
+    wherever g is not convex on [1, m]; ``bound_value_regime_a_hull``
+    removes that second defect only. Raises ``RangeError`` for a norm
+    above 1 + sqrt(m(m-1)), where g is undefined.
     """
     _require_regime_a(norm, m, p)
-    if norm <= 1.0:
-        return 0.0
-    return _regime_a_formula(norm, m, p.q, p.s)
+    return _regime_a_bound(m, p.q, p.s)(norm)
 
 
 @lru_cache(maxsize=128)
@@ -163,12 +184,13 @@ def _regime_a_chord(q: float, s: float, m: int) -> tuple[float, float, float] | 
     if inflection >= m:
         return None
     pref = _regime_a_prefactor(m, q, s)
-    g_m = _regime_a_formula(m, m, q, s)
+    g = _regime_a_bound(m, q, s)
+    g_m = g(m)
 
     def tangent_gap(n: float) -> float:
         u = (n - 1.0) ** 2 / c
         slope = pref * s * (1.0 - u) ** (s - 1.0) * 2.0 * (n - 1.0) / c
-        return slope * (m - n) - (g_m - _regime_a_formula(n, m, q, s))
+        return slope * (m - n) - (g_m - g(n))
 
     lo, hi = 1.0, inflection
     mid = 0.5 * (lo + hi)
@@ -178,7 +200,7 @@ def _regime_a_chord(q: float, s: float, m: int) -> tuple[float, float, float] | 
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    g_t = _regime_a_formula(hi, m, q, s)
+    g_t = g(hi)
     return hi, g_t, (g_m - g_t) / (m - hi)
 
 
@@ -194,13 +216,12 @@ def bound_value_regime_a_hull(norm: float, m: int, p: ParamPair) -> float:
         return 0.0
     chord = _regime_a_chord(p.q, p.s, m)
     if chord is None or norm <= chord[0]:
-        return _regime_a_formula(norm, m, p.q, p.s)
+        return _regime_a_bound(m, p.q, p.s)(norm)
     t, g_t, slope = chord
     return g_t + slope * (norm - t)
 
 
-def bound_value_regime_b(norm: float, m: int, p: ParamPair) -> float:
-    """Regime-B bound from a known max norm; clamped to 0 for norm <= 1."""
+def _require_regime_b(norm: float, m: int, p: ParamPair) -> None:
     if not in_regime_b_window(p):
         failed = []
         if not (0 < p.q < 1):
@@ -212,18 +233,44 @@ def bound_value_regime_b(norm: float, m: int, p: ParamPair) -> float:
         raise RegimeBBoundWindowError(
             "outside the regime-B bound window: " + "; ".join(failed)
         )
-    if norm <= 1.0:
-        return 0.0
-    pref = (float(m) ** (p.s * (1.0 - p.q)) - 1.0) / (float(m) ** p.s - 1.0)
-    return max(0.0, pref * (norm**p.s - 1.0))
+
+
+def _regime_b_bound(m: int, q: float, s: float) -> Callable[[float], float]:
+    """Unchecked core of ``bound_value_regime_b`` at fixed (m, q, s).
+
+    Returns norm -> bound(norm), 0 for norm <= 1.
+    """
+    pref = (float(m) ** (s * (1.0 - q)) - 1.0) / (float(m) ** s - 1.0)
+
+    def bound(norm: float) -> float:
+        if norm <= 1.0:
+            return 0.0
+        return max(0.0, pref * (norm**s - 1.0))
+
+    return bound
+
+
+def bound_value_regime_b(norm: float, m: int, p: ParamPair) -> float:
+    """Published regime-B bound from a known max norm; 0 for norm <= 1.
+
+    NOT a lower bound everywhere in its window, even for pure states: it
+    exceeds the measure of some two-qubit pure states at (0.8, 0.5) and
+    (0.9, 0.9), pinned in ``tests/test_bounds.py``.
+    """
+    _require_regime_b(norm, m, p)
+    return _regime_b_bound(m, p.q, p.s)(norm)
 
 
 def _bound_family(p: ParamPair):
-    """The bound function whose window covers (q, s)."""
+    """(checks, core) of the bound family whose window covers (q, s).
+
+    ``checks(norm, m, p)`` raises what the family's public bound function
+    raises, and ``core(m, q, s)`` returns its unchecked norm -> value map.
+    """
     if in_regime_a_window(p):
-        return bound_value_regime_a
+        return _require_regime_a, _regime_a_bound
     if in_regime_b_window(p):
-        return bound_value_regime_b
+        return _require_regime_b, _regime_b_bound
     raise NoApplicableBoundError(
         f"(q, s) = ({p.q}, {p.s}) is covered by neither bound family"
     )
@@ -231,14 +278,17 @@ def _bound_family(p: ParamPair):
 
 def bound_value_auto(norm: float, m: int, p: ParamPair) -> float:
     """Dispatch on (q, s) to whichever bound family applies."""
-    return _bound_family(p)(norm, m, p)
+    checks, core = _bound_family(p)
+    checks(norm, m, p)
+    return core(m, p.q, p.s)(norm)
 
 
 def bound_auto(rho: states.DensityMatrix, p: ParamPair) -> BoundReport:
     """Detect, then bound with the applicable family, or fail if there is none."""
-    bound = _bound_family(p)
+    checks, core = _bound_family(p)
     rep = detect(rho)
-    return replace(rep, lower_bound=bound(rep.max_norm, rep.m, p))
+    checks(rep.max_norm, rep.m, p)
+    return replace(rep, lower_bound=core(rep.m, p.q, p.s)(rep.max_norm))
 
 
 def pure_state_norm(spectrum) -> float:

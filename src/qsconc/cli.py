@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
 from . import __version__, bounds, closed_forms, inequalities, measures, roof, states
-from .errors import InputError, NumericError, ParamsError, RangeError, StateFormatError
+from .errors import (InputError, NoApplicableBoundError, NumericError, ParamsError,
+                     RangeError, StateFormatError)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -26,8 +28,11 @@ EXIT_PARAMS = 3
 EXIT_NUMERIC = 4
 
 
+REAL_FORMAT = "%.12g"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return REAL_FORMAT % x
 
 
 def parse_sweep(text: str) -> np.ndarray:
@@ -60,11 +65,10 @@ def _csv_header(args: argparse.Namespace, argv: list[str]) -> str:
 
 
 def _write_rows(out_path, header_comment: str, columns: list[str],
-                rows: list[list[float]]) -> None:
-    lines = [header_comment, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+                rows: Iterable[tuple[float, ...]]) -> None:
+    row_format = ",".join([REAL_FORMAT] * len(columns))
+    text = "\n".join([header_comment, ",".join(columns),
+                      *map(row_format.__mod__, rows), ""])
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -110,30 +114,49 @@ def cmd_bound(args, argv) -> int:
 def cmd_closed_form(args, argv) -> int:
     q, s, d = args.q, args.s, args.d
     p = measures.classify(q, s)
-    isotropic = args.family == "isotropic"
-    if isotropic:
+    nan = float("nan")
+    if args.family == "isotropic":
         env = closed_forms.isotropic_envelope(q, s, d)
+        m, ref_below = d, 0.0 if d == 3 else nan
+
+        def curves(x):  # (xi, reference) above the separable threshold
+            gamma, delta = closed_forms.isotropic_gamma_delta(x, d)
+            ref = (closed_forms._reference_isotropic_value(x, gamma, delta)
+                   if d == 3 else nan)
+            return closed_forms._isotropic_value(gamma, delta, q, s, d), ref
     else:
         env = closed_forms.werner_envelope(q, s)
+        m, ref_below = 2, 0.0
+
+        def curves(x):
+            return (closed_forms._werner_value(x, q, s),
+                    closed_forms.reference_c3t_werner(x))
+    # The envelope call validated (q, s, d), and the sweep stays inside
+    # [0, 1]: every point is in the curves' domains, every norm m * x <= m
+    # is in the bound's range, and the bound core gives 0 for norms <= 1.
+    try:
+        bound = bounds._bound_family(p)[1](m, q, s)
+    except NoApplicableBoundError:
+        bound = None
     xs = parse_sweep(args.sweep)
-    xs = xs[(xs >= 0.0) & (xs <= 1.0 + 1e-12)]
-    has_bound = bounds.in_regime_a_window(p) or bounds.in_regime_b_window(p)
-    nan = float("nan")
-    rows = []
-    for x in xs:
-        x = float(min(x, 1.0))
-        if isotropic:
-            xi = closed_forms.isotropic_curve(x, q, s, d) if x > 1.0 / d else 0.0
-            norm, m = d * x, d
-            ref = closed_forms.reference_q_concurrence_isotropic(x, 3) if d == 3 else nan
-        else:
-            xi = closed_forms.werner_curve(x, q, s) if x > 0.5 else 0.0
-            norm, m = 2.0 * x, 2
-            ref = closed_forms.reference_c3t_werner(x)
-        lower = bounds.bound_value_auto(max(1.0, norm), m, p) if has_bound else nan
-        rows.append([x, xi, env(x), lower, ref])
+    xs = np.minimum(xs[(xs >= 0.0) & (xs <= 1.0 + 1e-12)], 1.0).tolist()
+    # On (sep, curve_to] the envelope is the curve itself: up to the
+    # breakpoint, unless bridges replace parts of it.
+    sep = env.sep_threshold
+    curve_to = sep if env.bridges else env.breakpoint
+
+    def rows():
+        for x in xs:
+            if x > sep:
+                xi, ref = curves(x)
+                e = xi if x <= curve_to else env(x)
+            else:
+                xi = e = 0.0
+                ref = ref_below
+            yield x, xi, e, (bound(m * x) if bound else nan), ref
+
     _write_rows(args.out, _csv_header(args, argv),
-                ["x", "xi", "envelope", "lower_bound", "reference_curve"], rows)
+                ["x", "xi", "envelope", "lower_bound", "reference_curve"], rows())
     return EXIT_OK
 
 
@@ -168,7 +191,7 @@ def cmd_monogamy(args, argv) -> int:
     for s in s_values:
         for q in qs:
             rep = residual(float(q), float(s))
-            rows.append([float(q), float(s), rep.K, sum(rep.K_parts), rep.tau])
+            rows.append((float(q), float(s), rep.K, sum(rep.K_parts), rep.tau))
     _write_rows(args.out, _csv_header(args, argv),
                 ["q", "s", "K", "K_sum", "tau"], rows)
     return EXIT_OK

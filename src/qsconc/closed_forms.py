@@ -56,9 +56,8 @@ def isotropic_gamma_delta(f: float, d: int) -> tuple[float, float]:
     """Extremal Schmidt amplitudes (gamma, delta) at fidelity f."""
     sf = math.sqrt(f)
     s1f = math.sqrt(max(0.0, 1.0 - f))
-    gamma = (sf + math.sqrt(d - 1) * s1f) / math.sqrt(d)
-    delta = (sf - s1f / math.sqrt(d - 1)) / math.sqrt(d)
-    return gamma, delta
+    rd1, rd = math.sqrt(d - 1), math.sqrt(d)
+    return (sf + rd1 * s1f) / rd, (sf - s1f / rd1) / rd
 
 
 def isotropic_curve(f: float, q: float, s: float, d: int) -> float:
@@ -73,6 +72,11 @@ def isotropic_curve(f: float, q: float, s: float, d: int) -> float:
     if not 1.0 / d - 1e-12 <= f <= 1.0 + 1e-12:
         raise RangeError(f"fidelity {f} outside [1/{d}, 1]")
     gamma, delta = isotropic_gamma_delta(min(max(f, 1.0 / d), 1.0), d)
+    return _isotropic_value(gamma, delta, q, s, d)
+
+
+def _isotropic_value(gamma: float, delta: float, q: float, s: float, d: int) -> float:
+    """Unchecked core of ``isotropic_curve`` from the extremal amplitudes."""
     t = gamma ** (2 * q) + (d - 1) * max(delta, 0.0) ** (2 * q)
     return 1.0 - t**s
 
@@ -87,7 +91,11 @@ def werner_curve(w: float, q: float, s: float) -> float:
     _require_closed_form_params(q, s)
     if not 0.5 - 1e-12 <= w <= 1.0 + 1e-12:
         raise RangeError(f"w = {w} outside [1/2, 1]")
-    w = min(max(w, 0.5), 1.0)
+    return _werner_value(min(max(w, 0.5), 1.0), q, s)
+
+
+def _werner_value(w: float, q: float, s: float) -> float:
+    """Unchecked core of ``werner_curve`` for w in [1/2, 1]."""
     g = 2.0 * math.sqrt(w * (1.0 - w))
     t = ((1.0 + g) / 2.0) ** q + ((1.0 - g) / 2.0) ** q
     return 1.0 - t**s
@@ -356,8 +364,16 @@ def reference_q_concurrence_isotropic(f: float, d: int = 3) -> float:
         raise RangeError(f"fidelity {f} outside [0, 1]")
     if f <= 1.0 / 3.0:
         return 0.0
+    return _reference_isotropic_value(f, *isotropic_gamma_delta(f, 3))
+
+
+def _reference_isotropic_value(f: float, gamma: float, delta: float) -> float:
+    """Unchecked core of the d = 3 reference curve above f = 1/3.
+
+    Takes the amplitudes ``isotropic_gamma_delta(f, 3)``, which a d = 3
+    sweep shares with ``isotropic_curve``.
+    """
     if f <= 8.0 / 9.0:
-        gamma, delta = isotropic_gamma_delta(f, 3)
         return 1.0 - gamma**4 - 2.0 * delta**4
     return 1.5 * f - 5.0 / 6.0
 

@@ -40,6 +40,24 @@ def test_cli_stdout_matches_recorded_digests(bench_module, tmp_path, monkeypatch
         assert workloads.digest(text) == digests[" ".join(argv)], argv
 
 
+def test_cli_stdout_matches_recorded_digests_other_variants(bench_module, tmp_path,
+                                                            monkeypatch):
+    """The non-closed-form lines of variants 1-3, which the test above skips."""
+    workloads = bench_module("workloads")
+    digests = json.loads(workloads.DIGESTS_PATH.read_text())
+    monkeypatch.chdir(tmp_path)
+    workloads.write_cli_pool()
+    commands = [a for v in range(1, workloads.CLI_VARIANTS)
+                for a in workloads.cli_commands(v) if a[0] != "closed-form"]
+    everything = {" ".join(a) for v in range(workloads.CLI_VARIANTS)
+                  for a in workloads.cli_commands(v)}
+    assert everything == set(digests) and len(digests) == 69
+    for argv in commands:
+        rc, text = workloads.run_cli(argv)
+        assert rc == 0, argv
+        assert workloads.digest(text) == digests[" ".join(argv)], argv
+
+
 def test_traced_attributes_exist(bench_module):
     targets = bench_module("layers").Layers().tracer.targets
     names = {t.name for t in targets}

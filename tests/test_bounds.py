@@ -225,6 +225,51 @@ class TestSandwichOnPureStates:
             assert lb <= exact + 1e-9
 
 
+def two_qubit_pure(lam0: float) -> states.PureState:
+    """sqrt(lam0)|00> + sqrt(1 - lam0)|11>."""
+    amps = np.zeros(4, dtype=complex)
+    amps[0], amps[3] = np.sqrt(lam0), np.sqrt(1.0 - lam0)
+    return states.PureState((2, 2), amps)
+
+
+class TestPublishedBoundsUnsoundOnPureStates:
+    """Pins where the published bounds exceed the measure of a pure state.
+
+    Both formulas are applied inside their own windows, with the norms
+    ``bound_auto`` computes from the explicit state. ``TestSandwichOnPureStates``
+    cannot see these: (2.5, 1) only ever meets 3x3 there, and neither
+    regime-B pair is in its list.
+    """
+
+    # (q, s, lam0, measure, bound), values as measured.
+    CASES = [
+        # concurrence 2 sqrt(lam0 (1 - lam0)) = 0.686
+        (2.5, 1.0, (1 + np.sqrt(1 - 0.686**2)) / 2, 0.299674, 0.304215),
+        (0.8, 0.5, 0.9634, 0.020556, 0.029949),
+        (0.9, 0.9, 0.9634, 0.016138, 0.024705),
+    ]
+
+    @pytest.mark.parametrize("q,s,lam0,measure,bound", CASES)
+    def test_bound_exceeds_pure_measure(self, q, s, lam0, measure, bound):
+        p = measures.classify(q, s)
+        psi = two_qubit_pure(lam0)
+        exact = measures.cqs_pure(psi, p, split=0).value
+        rep = bounds.bound_auto(psi.to_density(), p)
+        assert exact == pytest.approx(measure, abs=1e-6)
+        assert rep.lower_bound == pytest.approx(bound, abs=1e-6)
+        excess = 4e-3 if p.regime is measures.Regime.A else 8e-3
+        assert rep.lower_bound - exact > excess
+
+    def test_hull_inherits_the_regime_a_defect(self):
+        q, s, lam0 = self.CASES[0][:3]
+        p = measures.classify(q, s)
+        psi = two_qubit_pure(lam0)
+        rep = bounds.bound_auto(psi.to_density(), p)
+        hull = bounds.bound_value_regime_a_hull(rep.max_norm, rep.m, p)
+        assert hull == pytest.approx(0.304215, abs=1e-6)
+        assert hull - measures.cqs_pure(psi, p, split=0).value > 4e-3
+
+
 class TestMonotoneInNorm:
     @pytest.mark.parametrize("q,s,m", [(2, 2, 2), (3, 2, 3), (2.5, 1.2, 4)])
     def test_regime_a_nondecreasing(self, q, s, m):
