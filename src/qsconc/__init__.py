@@ -14,8 +14,8 @@ from .bounds import (
     bound_auto,
     bound_value_auto,
     bound_value_regime_a,
-    bound_value_regime_a_hull,
     bound_value_regime_b,
+    bound_value_tight,
     detect,
     in_regime_a_window,
     in_regime_b_window,

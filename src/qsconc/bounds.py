@@ -31,25 +31,30 @@ which needs g convex on [1, m]; for s > 1 g has an inflection at
 (N-1)^2 = m(m-1)/(2s-1), and when that lies below m the formula exceeds
 the true measure of some mixed states (the isotropic family at
 (q, s) = (2, 2), d = 3, near maximal fidelity).
-``bound_value_regime_a_hull``, the lower convex hull of g on [1, m],
-removes that second defect: it is convex, nondecreasing and <= g, so
-C(rho) >= sum_i p_i hull(N_i) >= hull(N(rho)) wherever g is a lower
-bound on pure states. It inherits the pure-state defect above (at
-s = 1 the hull is g). ``bound_value_regime_a``, ``bound_value_auto``,
-``bound_auto`` and the CLI keep the published value g.
+
+``bound_value_tight`` is the tightest bound a single norm allows. A pure
+state of Schmidt rank <= m has both norms equal to (sum_i sqrt(lam_i))^2
+and maximal fidelity N/m with the maximally entangled state of rank m
+(Terhal and Vollbrecht, PRL 85, 2625), so C(psi) >= R_m(N/m), where R_m
+is the isotropic curve at d = m: the least pure-state measure at that
+fidelity. Its lower convex hull co R_m is convex and nondecreasing and
+the norms are convex, so C(rho) >= co R_m(N(rho)/m) for every state
+(Chen, Albeverio and Fei, PRL 95, 040504). co R_m is the tangent
+isotropic envelope at d = m, so the bound covers every (q, s) of the
+closed forms (q > 1, q*s >= 1). ``bound_value_regime_a``,
+``bound_value_auto``, ``bound_auto`` and the CLI keep the published
+value g.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from . import linalg, states
+from . import closed_forms, linalg, states
 from .errors import (
     DimensionMismatchError,
     NoApplicableBoundError,
@@ -126,14 +131,12 @@ def _require_regime_a(norm: float, m: int, p: ParamPair) -> None:
             f"(q, s) = ({p.q}, {p.s}) outside both regime-A windows: "
             f"need q >= 2 with s >= {REGIME_A_MIN_S} or s >= 1 with q >= {REGIME_A_MIN_Q}"
         )
+    if m < 2:
+        raise RangeError(f"need m >= 2, got {m}")
     if norm > 1.0 and (norm - 1.0) ** 2 / (m * (m - 1)) > 1.0:
         raise RangeError(
             f"norm {norm} exceeds the regime-A maximum 1 + sqrt(m(m-1)) for m = {m}"
         )
-
-
-def _regime_a_prefactor(m: int, q: float, s: float) -> float:
-    return (1.0 - float(m) ** (s * (1.0 - q))) / (1.0 - float(m) ** (-s))
 
 
 def _regime_a_bound(m: int, q: float, s: float) -> Callable[[float], float]:
@@ -141,7 +144,7 @@ def _regime_a_bound(m: int, q: float, s: float) -> Callable[[float], float]:
 
     Returns norm -> g(norm), 0 for norm <= 1.
     """
-    pref = _regime_a_prefactor(m, q, s)
+    pref = (1.0 - float(m) ** (s * (1.0 - q))) / (1.0 - float(m) ** (-s))
     c = m * (m - 1)
 
     def g(norm: float) -> float:
@@ -160,65 +163,25 @@ def bound_value_regime_a(norm: float, m: int, p: ParamPair) -> float:
     m = 2 it exceeds the measure of some two-qubit pure states for q in
     about [2.2, 2.75] with s in [1, 1.5] (by 4.5e-3 at (2.5, 1), pinned in
     ``tests/test_bounds.py``). For mixed states at s > 1 it also fails
-    wherever g is not convex on [1, m]; ``bound_value_regime_a_hull``
-    removes that second defect only. Raises ``RangeError`` for a norm
-    above 1 + sqrt(m(m-1)), where g is undefined.
+    wherever g is not convex on [1, m]. ``bound_value_tight`` is sound.
+    Raises ``RangeError`` for m < 2 and for a norm above
+    1 + sqrt(m(m-1)), where g is undefined.
     """
     _require_regime_a(norm, m, p)
     return _regime_a_bound(m, p.q, p.s)(norm)
 
 
-@lru_cache(maxsize=128)
-def _regime_a_chord(q: float, s: float, m: int) -> tuple[float, float, float] | None:
-    """(t, g(t), slope) of the hull's chord from t to m; None if g is convex.
+def bound_value_tight(norm: float, m: int, p: ParamPair) -> float:
+    """co R_m(norm / m): the tightest lower bound a single norm allows.
 
-    g'' has the sign of 1 - (2s-1)(N-1)^2/(m(m-1)), so g is convex up to
-    its one inflection and concave after it. The tangency point t solves
-    g'(t)(m - t) = g(m) - g(t); the left side minus the right increases
-    on [1, inflection], from -g(m) to >= 0, so bisection finds it. The
-    upper end of the final bracket is returned, where the chord stays
-    below g.
+    Sound for every state whose larger reshuffle norm is ``norm`` and
+    whose smaller dimension is m; 0 for norm <= 1. Raises ``RangeError``
+    for a norm outside [0, m] or m < 2, and ``ClosedFormWindowError``
+    outside q > 1, q*s >= 1.
     """
-    c = m * (m - 1)
-    inflection = 1.0 + math.sqrt(c / (2.0 * s - 1.0))
-    if inflection >= m:
-        return None
-    pref = _regime_a_prefactor(m, q, s)
-    g = _regime_a_bound(m, q, s)
-    g_m = g(m)
-
-    def tangent_gap(n: float) -> float:
-        u = (n - 1.0) ** 2 / c
-        slope = pref * s * (1.0 - u) ** (s - 1.0) * 2.0 * (n - 1.0) / c
-        return slope * (m - n) - (g_m - g(n))
-
-    lo, hi = 1.0, inflection
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if tangent_gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    g_t = g(hi)
-    return hi, g_t, (g_m - g_t) / (m - hi)
-
-
-def bound_value_regime_a_hull(norm: float, m: int, p: ParamPair) -> float:
-    """Sound regime-A bound for mixed states: the lower convex hull of g.
-
-    Equals g up to the tangency point t and the chord from (t, g(t)) to
-    (m, g(m)) beyond it; equals g everywhere when g is convex on [1, m].
-    Same window and range errors as the published formula; 0 for norm <= 1.
-    """
-    _require_regime_a(norm, m, p)
-    if norm <= 1.0:
-        return 0.0
-    chord = _regime_a_chord(p.q, p.s, m)
-    if chord is None or norm <= chord[0]:
-        return _regime_a_bound(m, p.q, p.s)(norm)
-    t, g_t, slope = chord
-    return g_t + slope * (norm - t)
+    if not 0.0 <= norm <= m:
+        raise RangeError(f"norm {norm} outside [0, m] for m = {m}")
+    return closed_forms.isotropic_envelope(p.q, p.s, m, "tangent")(norm / m)
 
 
 def _require_regime_b(norm: float, m: int, p: ParamPair) -> None:
@@ -233,6 +196,8 @@ def _require_regime_b(norm: float, m: int, p: ParamPair) -> None:
         raise RegimeBBoundWindowError(
             "outside the regime-B bound window: " + "; ".join(failed)
         )
+    if m < 2:
+        raise RangeError(f"need m >= 2, got {m}")
 
 
 def _regime_b_bound(m: int, q: float, s: float) -> Callable[[float], float]:

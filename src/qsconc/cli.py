@@ -125,6 +125,10 @@ def cmd_closed_form(args, argv) -> int:
                    if d == 3 else nan)
             return closed_forms._isotropic_value(gamma, delta, q, s, d), ref
     else:
+        # Two-qubit Werner: the bound column's N = 2w and the C3t reference
+        # hold at d = 2 only.
+        if d != 2:
+            raise RangeError(f"the Werner family is two-qubit: need --d 2, got {d}")
         env = closed_forms.werner_envelope(q, s)
         m, ref_below = 2, 0.0
 
@@ -177,7 +181,12 @@ def cmd_monogamy(args, argv) -> int:
     if (args.state is None) == (args.gen3 is None):
         raise RangeError("provide exactly one of --state or --gen3")
     s_values = args.s if args.s else [1.0]
-    qs = parse_sweep(args.sweep) if args.sweep else [args.q or 2.0]
+    if args.sweep is None:
+        qs = [2.0 if args.q is None else args.q]
+    elif args.q is None:
+        qs = parse_sweep(args.sweep)
+    else:
+        raise RangeError("provide at most one of --q or --sweep")
     gen3 = _parse_gen3(args.gen3) if args.gen3 else None
     psi = states.load_state_json(args.state) if args.state else None
 

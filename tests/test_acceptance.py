@@ -3,10 +3,11 @@
 Each test prints one pass/fail line (run with ``pytest -v -s`` or
 ``-rA`` to see them). Criterion 6 is split into legs: the bound-formula
 identities and the Werner tightness leg check the published regime-A
-formula; the isotropic-envelope tightness leg checks the sound regime-A
-bound (its convex hull), because the published formula exceeds the
-exact isotropic measure near maximal fidelity at s > 1. That defect is
-pinned in tests/test_closed_forms.py.
+formula; the isotropic-envelope tightness leg checks the sound bound
+``bound_value_tight`` (co R_m, the tangent isotropic envelope at d = m),
+because the published formula exceeds the exact isotropic measure near
+maximal fidelity at s > 1. That defect is pinned in
+tests/test_closed_forms.py.
 """
 
 import math
@@ -156,22 +157,22 @@ def test_criterion_06b_bound_below_raw_curve_and_werner_envelope():
 
 
 def test_criterion_06c_bound_below_isotropic_envelope():
-    """Tightness criterion for the isotropic leg, on the sound regime-A bound.
+    """Tightness criterion for the isotropic leg, on the sound norm bound.
 
     The published mixed-state bound applies a Jensen step that needs the
     formula g to be convex in the norm; at (q, s) = (2, 2) it is not, and
     g exceeds the exact envelope measure near maximal fidelity. That
     defect stays pinned, with its decomposition certificate, by
     test_regime_a_bound_exceeds_isotropic_envelope_near_max_fidelity in
-    tests/test_closed_forms.py. This leg checks the library's sound
-    regime-A bound, the lower convex hull of g, against both the default
+    tests/test_closed_forms.py. This leg checks the library's sound bound,
+    ``bound_value_tight`` (co R_3 of the norm 3F), against both the default
     envelope and the true (tangent) convex envelope, which lies below it.
     """
-    hull = np.array(
-        [bounds.bound_value_regime_a_hull(3 * float(f), 3, P22) for f in F_SWEEP]
+    tight = np.array(
+        [bounds.bound_value_tight(3 * float(f), 3, P22) for f in F_SWEEP]
     )
-    gaps = hull - np.array([cf.cqs_isotropic(float(f), 2, 2, 3) for f in F_SWEEP])
-    gaps_tangent = hull - np.array(
+    gaps = tight - np.array([cf.cqs_isotropic(float(f), 2, 2, 3) for f in F_SWEEP])
+    gaps_tangent = tight - np.array(
         [cf.cqs_isotropic(float(f), 2, 2, 3, method="tangent") for f in F_SWEEP]
     )
     worst = float(gaps.max())

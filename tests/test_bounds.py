@@ -5,6 +5,7 @@ import pytest
 
 from qsconc import bounds, closed_forms as cf, measures, states
 from qsconc.errors import (
+    ClosedFormWindowError,
     NoApplicableBoundError,
     RangeError,
     RegimeABoundWindowError,
@@ -88,76 +89,25 @@ class TestRegimeABound:
         assert rep.lower_bound == pytest.approx(1 - m ** (s * (1 - q)), abs=1e-9)
 
 
-HULL_CASES = [(2, 2, 3), (2, 2, 2), (3, 2, 2), (3, 2, 3), (2, 2, 8), (2.5, 1.2, 4)]
-
-
-class TestRegimeAHull:
-    @pytest.mark.parametrize("q,m", [(2.5, 2), (3, 3), (4, 8)])
-    def test_equals_published_at_s_one(self, q, m):
-        p = measures.classify(q, 1)
-        for n in np.linspace(0.5, m, 300):
-            n = float(n)
-            assert bounds.bound_value_regime_a_hull(n, m, p) == (
-                bounds.bound_value_regime_a(n, m, p)
-            )
-
-    def test_equals_published_below_tangency(self):
-        p = measures.classify(2, 2)
-        for n in np.linspace(0.5, 2.09, 300):
-            n = float(n)
-            assert bounds.bound_value_regime_a_hull(n, 3, p) == (
-                bounds.bound_value_regime_a(n, 3, p)
-            )
-        # the chord replaces g above the tangency point and meets it at m
-        assert bounds.bound_value_regime_a_hull(2.7, 3, p) < (
-            bounds.bound_value_regime_a(2.7, 3, p) - 1e-3
-        )
-        assert bounds.bound_value_regime_a_hull(3.0, 3, p) == pytest.approx(
-            bounds.bound_value_regime_a(3.0, 3, p), abs=1e-12
-        )
-
-    @pytest.mark.parametrize("q,s,m", HULL_CASES)
-    def test_below_published_nondecreasing_convex(self, q, s, m):
-        p = measures.classify(q, s)
-        grid = np.linspace(1.0, m, 801)
-        hull = np.array(
-            [bounds.bound_value_regime_a_hull(float(n), m, p) for n in grid]
-        )
-        published = np.array(
-            [bounds.bound_value_regime_a(float(n), m, p) for n in grid]
-        )
-        assert np.max(hull - published) <= 1e-12
-        assert np.min(np.diff(hull)) >= -1e-12
-        assert np.min(np.diff(hull, 2)) >= -1e-12
-
-    @pytest.mark.parametrize("d", [2, 3, 8])
-    def test_below_tangent_isotropic_envelope(self, d):
-        p = measures.classify(2, 2)
-        for f in np.linspace(1 / d + 1e-3, 1.0, 500):
-            lb = bounds.bound_value_regime_a_hull(d * float(f), d, p)
-            assert lb <= cf.cqs_isotropic(float(f), 2, 2, d, method="tangent") + 1e-9
-
-    def test_below_werner_envelope(self):
-        p = measures.classify(3, 2)
-        for w in np.linspace(0.5 + 1e-3, 1.0, 500):
-            lb = bounds.bound_value_regime_a_hull(2 * float(w), 2, p)
-            assert lb <= cf.cqs_werner(float(w), 3, 2) + 1e-9
-
-    @pytest.mark.parametrize("q,s", [(2, 1), (1.5, 2), (0.5, 0.5)])
-    def test_window_error(self, q, s):
-        with pytest.raises(RegimeABoundWindowError):
-            bounds.bound_value_regime_a_hull(2.0, 3, measures.classify(q, s))
-
-
-@pytest.mark.parametrize(
-    "bound", [bounds.bound_value_regime_a, bounds.bound_value_regime_a_hull]
-)
+@pytest.mark.parametrize("bound", [bounds.bound_value_regime_a])
 def test_regime_a_norm_above_maximum_is_range_error(bound):
     # g needs (N-1)^2 <= m(m-1); at m = 2 the largest norm is 1 + sqrt(2).
     p = measures.classify(2, 1.5)
     with pytest.raises(RangeError):
         bound(5.0, 2, p)
     assert bound(1.0 + 2**0.5, 2, p) > 0.0
+
+
+@pytest.mark.parametrize("bound,q,s", [
+    (bounds.bound_value_regime_a, 2, 2), (bounds.bound_value_regime_b, 0.5, 0.5),
+    (bounds.bound_value_auto, 2, 2), (bounds.bound_value_auto, 0.5, 0.5),
+    (bounds.bound_value_tight, 2, 2),
+], ids=["regime_a", "regime_b", "auto-a", "auto-b", "tight"])
+def test_m_one_is_range_error(bound, q, s):
+    # A 1 x n state has m = 1, where both published prefactors divide by zero.
+    for norm in (0.5, 1.0, 1.5):
+        with pytest.raises(RangeError):
+            bound(norm, 1, measures.classify(q, s))
 
 
 class TestRegimeBBound:
@@ -260,14 +210,88 @@ class TestPublishedBoundsUnsoundOnPureStates:
         excess = 4e-3 if p.regime is measures.Regime.A else 8e-3
         assert rep.lower_bound - exact > excess
 
-    def test_hull_inherits_the_regime_a_defect(self):
-        q, s, lam0 = self.CASES[0][:3]
+
+# The regime-A pairs of PURE_SWEEP_PAIRS, pairs outside the published
+# windows, and (2.75, 1.5), near the published bound's m = 2 defect.
+TIGHT_PURE_PAIRS = [pair for pair in PURE_SWEEP_PAIRS
+                    if measures.classify(*pair).regime is measures.Regime.A]
+TIGHT_PURE_PAIRS += [(2, 1), (1.5, 1), (2.2, 1), (2.75, 1.5)]
+TIGHT_PURE_DIMS = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 4)]
+TIGHT_CASES = [(2, 2, 3), (2, 2, 2), (3, 2, 2), (3, 2, 3), (2, 2, 8), (2.5, 1.2, 4),
+               (10, 0.2, 8), (2, 1, 2), (1.5, 1, 3), (4, 0.5, 4)]
+
+
+class TestTightBound:
+    """``bound_value_tight``, co R_m(N/m): the tangent isotropic envelope at d = m."""
+
+    @pytest.mark.parametrize("q,s,m", TIGHT_CASES)
+    def test_nondecreasing_convex_zero_below_one(self, q, s, m):
+        p = measures.classify(q, s)
+        grid = np.linspace(0.0, m, 801)
+        vals = np.array([bounds.bound_value_tight(float(n), m, p) for n in grid])
+        assert np.all(vals[grid <= 1.0] == 0.0)
+        assert np.min(np.diff(vals)) >= -1e-12
+        assert np.min(np.diff(vals, 2)) >= -1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_equals_tangent_isotropic_envelope(self, d):
+        p = measures.classify(2, 2)
+        for f in np.linspace(1 / d + 1e-3, 1.0, 500):
+            lb = bounds.bound_value_tight(d * float(f), d, p)
+            exact = cf.cqs_isotropic(float(f), 2, 2, d, method="tangent")
+            assert lb == pytest.approx(exact, abs=1e-12)
+
+    def test_below_werner_envelope(self):
+        p = measures.classify(3, 2)
+        for w in np.linspace(0.5 + 1e-3, 1.0, 500):
+            lb = bounds.bound_value_tight(2 * float(w), 2, p)
+            assert lb <= cf.cqs_werner(float(w), 3, 2, method="tangent") + 1e-9
+
+    @pytest.mark.parametrize("q,m", [(2.5, 3), (3, 3), (4, 8)])
+    def test_not_below_published_at_s_one(self, q, m):
+        # At s = 1 the published g is convex, and at m >= 3 it is sound on
+        # pure states, so the tightest single-norm bound cannot lose to it.
+        p = measures.classify(q, 1)
+        for n in np.linspace(1.0, m, 300):
+            n = float(n)
+            assert bounds.bound_value_tight(n, m, p) >= (
+                bounds.bound_value_regime_a(n, m, p) - 1e-12
+            )
+
+    def test_exact_at_the_pinned_regime_a_state(self):
+        # The published bound exceeds this state's measure by 4.5e-3; the
+        # tight bound reproduces it.
+        q, s, lam0 = TestPublishedBoundsUnsoundOnPureStates.CASES[0][:3]
         p = measures.classify(q, s)
         psi = two_qubit_pure(lam0)
-        rep = bounds.bound_auto(psi.to_density(), p)
-        hull = bounds.bound_value_regime_a_hull(rep.max_norm, rep.m, p)
-        assert hull == pytest.approx(0.304215, abs=1e-6)
-        assert hull - measures.cqs_pure(psi, p, split=0).value > 4e-3
+        rep = bounds.detect(psi.to_density())
+        lb = bounds.bound_value_tight(rep.max_norm, rep.m, p)
+        exact = measures.cqs_pure(psi, p, split=0).value
+        assert lb <= exact + 1e-12
+        assert lb == pytest.approx(exact, abs=1e-9)
+
+    @pytest.mark.parametrize("dims", TIGHT_PURE_DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_below_pure_measure(self, dims):
+        pairs = [measures.classify(q, s) for q, s in TIGHT_PURE_PAIRS]
+        for seed in range(20):
+            spectrum = states.schmidt(states.haar_random_pure(dims, seed=seed)).values
+            norm = bounds.pure_state_norm(spectrum)
+            for p in pairs:
+                lb = bounds.bound_value_tight(norm, min(dims), p)
+                exact = measures.cqs_from_spectrum(spectrum, p).value
+                assert lb <= exact + 1e-9, (p, seed)
+
+    def test_norm_outside_range_is_range_error(self):
+        p = measures.classify(2, 1.5)
+        for norm in (3.0 + 1e-9, 5.0, -1e-9, float("nan")):
+            with pytest.raises(RangeError):
+                bounds.bound_value_tight(norm, 3, p)
+        assert bounds.bound_value_tight(3.0, 3, p) > 0.0
+
+    @pytest.mark.parametrize("q,s", [(0.5, 0.5), (1, 1)])
+    def test_window_error(self, q, s):
+        with pytest.raises(ClosedFormWindowError):
+            bounds.bound_value_tight(2.0, 3, measures.classify(q, s))
 
 
 class TestMonotoneInNorm:

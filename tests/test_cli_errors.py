@@ -71,6 +71,16 @@ def test_non_hermitian_state_file_exits_2(tmp_path, capsys):
     assert "Hermitian" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("q,s", [("2", "2"), ("0.5", "0.5")])
+def test_bound_on_one_by_two_state_exits_2(tmp_path, capsys, q, s):
+    # m = 1: no published bound is defined, and the prefactors divide by zero.
+    path = tmp_path / "one_by_two.json"
+    states.save_state_json(states.PureState((1, 2), np.array([0.6, 0.8])), path)
+    code, err = run(["bound", "--state", str(path), "--q", q, "--s", s], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "m >= 2" in err
+
+
 @pytest.mark.parametrize("option", [["--restarts", "0"], ["--length", "0"],
                                     ["--seed", "-1"], ["--iterations", "-5"],
                                     ["--length", "100000000"], ["--restarts", "257"]])
@@ -92,8 +102,16 @@ def test_degenerate_roof_options_exit_2(bell_file, capsys, option):
     ["monogamy", "--gen3", "nan,0,0,0,0,0", "--s", "1", "--q", "2"],
     ["closed-form", "isotropic", "--q", "2", "--s", "2", "--d", "10000000000",
      "--sweep", "0.4:1:0.1"],
+    ["monogamy", "--gen3", "0.6,0,0,0.8,0,0", "--q", "0"],
+    ["monogamy", "--gen3", "0.6,0,0,0.8,0,0", "--q", "-0"],
+    ["monogamy", "--gen3", "0.6,0,0,0.8,0,0", "--q", "3", "--sweep", "2:4:1"],
+    ["monogamy", "--gen3", "0.6,0,0,0.8,0,0", "--sweep", ""],
+    ["closed-form", "werner", "--q", "3", "--s", "2", "--d", "5", "--sweep", "0.5:1:0.1"],
+    ["closed-form", "werner", "--q", "3", "--s", "2", "--d", "3", "--sweep", "0.5:1:0.1"],
 ], ids=["sweep-nan", "sweep-inf", "monogamy-sweep-inf", "d-0", "q-inf", "q-nan",
-        "gen3-phi-nan", "gen3-amp-nan", "d-above-limit"])
+        "gen3-phi-nan", "gen3-amp-nan", "d-above-limit", "monogamy-q-0",
+        "monogamy-q-minus-0", "monogamy-q-and-sweep", "monogamy-empty-sweep",
+        "werner-d-5", "werner-d-3"])
 def test_non_finite_or_degenerate_options_exit_2(argv, capsys):
     code, err = run(argv, capsys)
     assert code == 2

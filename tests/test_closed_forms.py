@@ -311,7 +311,7 @@ class TestBoundVsExactCurves:
         # s <= 1. An explicit two-component decomposition certifies the
         # true measure really is below the bound there. This test pins
         # the measured violation so a change in behavior is noticed; the
-        # acceptance criterion 06c checks the sound hull bound instead.
+        # acceptance criterion 06c checks the sound bound_value_tight instead.
         p22 = measures.classify(2, 2)
         fs = np.linspace(1 / 3 + 1e-3, 1.0, 500)
         gap = np.array(
