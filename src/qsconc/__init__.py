@@ -41,11 +41,13 @@ from .inequalities import (
     PolygonReport,
     gen3_concurrences,
     marginal_cqs,
+    monogamy_residual,
     monogamy_residual_gen3,
     monogamy_residual_qubits,
     monogamy_window,
     polygon_check,
     polygon_group_check,
+    qubit_concurrences,
 )
 from .linalg import (
     hermitian_eigenvalues,

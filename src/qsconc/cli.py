@@ -189,18 +189,13 @@ def cmd_monogamy(args, argv) -> int:
         raise RangeError("provide at most one of --q or --sweep")
     gen3 = _parse_gen3(args.gen3) if args.gen3 else None
     psi = states.load_state_json(args.state) if args.state else None
-
-    def residual(q: float, s: float) -> inequalities.MonogamyReport:
-        p = measures.classify(q, s)
-        if gen3 is not None:
-            return inequalities.monogamy_residual_gen3(gen3, p)
-        return inequalities.monogamy_residual_qubits(psi, p)
-
-    rows = []
-    for s in s_values:
-        for q in qs:
-            rep = residual(float(q), float(s))
-            rows.append((float(q), float(s), rep.K, sum(rep.K_parts), rep.tau))
+    params = [measures.classify(float(q), float(s)) for s in s_values for q in qs]
+    for p in params:
+        inequalities._require_monogamy_params(p)
+    conc = (inequalities.gen3_concurrences(gen3) if gen3 is not None
+            else inequalities.qubit_concurrences(psi))
+    reports = [inequalities.monogamy_residual(conc, p) for p in params]
+    rows = [(p.q, p.s, r.K, sum(r.K_parts), r.tau) for p, r in zip(params, reports)]
     _write_rows(args.out, _csv_header(args, argv),
                 ["q", "s", "K", "K_sum", "tau"], rows)
     return EXIT_OK

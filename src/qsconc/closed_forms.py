@@ -264,10 +264,21 @@ def build_envelope(curve: Callable[[float], float], domain: tuple[float, float],
     return EnvelopeCurve(sep_threshold, knot, slope, intercept, curve, b, bridges)
 
 
-@lru_cache(maxsize=128)
 def isotropic_envelope(q: float, s: float, d: int,
                        method: str = "inflection") -> EnvelopeCurve:
     """Envelope of the isotropic curve over fidelity in [1/d, 1]."""
+    return _isotropic_envelope(q, s, d, method)
+
+
+def werner_envelope(q: float, s: float, method: str = "inflection") -> EnvelopeCurve:
+    """Envelope of the Werner curve over weight in [1/2, 1]."""
+    return _werner_envelope(q, s, method)
+
+
+# The caches sit behind the public names so that every spelling of
+# ``method`` (default, positional, keyword) reaches one cache entry.
+@lru_cache(maxsize=128)
+def _isotropic_envelope(q: float, s: float, d: int, method: str) -> EnvelopeCurve:
     _require_closed_form_params(q, s)
     if not 2 <= d <= MAX_ISOTROPIC_D:
         raise RangeError(f"need 2 <= d <= {MAX_ISOTROPIC_D}, got {d}")
@@ -279,14 +290,17 @@ def isotropic_envelope(q: float, s: float, d: int,
 
 
 @lru_cache(maxsize=128)
-def werner_envelope(q: float, s: float, method: str = "inflection") -> EnvelopeCurve:
-    """Envelope of the Werner curve over weight in [1/2, 1]."""
+def _werner_envelope(q: float, s: float, method: str) -> EnvelopeCurve:
     _require_closed_form_params(q, s)
 
     def curve(w: float) -> float:
         return werner_curve(w, q, s)
 
     return build_envelope(curve, (0.5, 1.0), 0.5, method)
+
+
+isotropic_envelope.cache_clear = _isotropic_envelope.cache_clear
+werner_envelope.cache_clear = _werner_envelope.cache_clear
 
 
 def cqs_isotropic(f: float, q: float, s: float, d: int,

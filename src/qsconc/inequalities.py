@@ -14,7 +14,9 @@ stops holding.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +112,12 @@ def _require_monogamy_params(p: ParamPair) -> None:
         )
 
 
-def _as_pure_qubits(state) -> states.PureState:
+def qubit_concurrences(state) -> tuple[float, ...]:
+    """Concurrences (C(0|rest), C(0,1), ..., C(0,n-1)) of an n-qubit pure state.
+
+    C(0|rest) is the pure-state concurrence of qubit 0 against the rest;
+    each C(0,i) is the Wootters concurrence of the reduced pair (0, i).
+    """
     if isinstance(state, states.PureState):
         psi = state
     elif isinstance(state, states.DensityMatrix):
@@ -122,30 +129,13 @@ def _as_pure_qubits(state) -> states.PureState:
         psi = states.PureState(state.dims, v[:, -1] / np.linalg.norm(v[:, -1]))
     else:
         raise TypeError(f"expected a state, got {type(state).__name__}")
-    if any(d != 2 for d in psi.dims):
-        raise NotQubitsError(f"all subsystems must be qubits, dims={psi.dims}")
-    return psi
-
-
-def monogamy_residual_qubits(state, p: ParamPair) -> MonogamyReport:
-    """Residual tau = K - sum K_i for an n-qubit pure state.
-
-    K is the bridged one-to-rest concurrence of qubit 0; each K_i bridges
-    the two-qubit mixed-state concurrence of the reduced pair (0, i).
-    """
-    _require_monogamy_params(p)
-    psi = _as_pure_qubits(state)
     n = psi.n_parties
-    if n < 2:
-        raise NotQubitsError("need at least two qubits")
-    c_rest = measures.concurrence_pure(psi, split=0)
-    k = measures.concurrence_bridge(min(c_rest, 1.0), p)
-    parts = []
-    for i in range(1, n):
-        rho_pair = psi.projector() if n == 2 else states.reduced_state(psi, [0, i])
-        c_pair = measures.wootters_concurrence(rho_pair)
-        parts.append(measures.concurrence_bridge(c_pair, p))
-    return MonogamyReport(k, parts, k - sum(parts))
+    if n < 2 or any(d != 2 for d in psi.dims):
+        raise NotQubitsError(f"need two or more qubits, dims={psi.dims}")
+    pairs = ([psi.projector()] if n == 2 else
+             [states.reduced_state(psi, [0, i]) for i in range(1, n)])
+    return (measures.concurrence_pure(psi, split=0),
+            *map(measures.wootters_concurrence, pairs))
 
 
 def gen3_concurrences(params: states.GenSchmidt3) -> tuple[float, float, float]:
@@ -155,11 +145,23 @@ def gen3_concurrences(params: states.GenSchmidt3) -> tuple[float, float, float]:
     return c_abc, 2.0 * l0 * l2, 2.0 * l0 * l3
 
 
+def monogamy_residual(concurrences, p: ParamPair) -> MonogamyReport:
+    """Residual tau = K - K_1 - K_2 - ... from (C(0|rest), C(0,1), C(0,2), ...).
+
+    K bridges the one-to-rest concurrence and each K_i a pairwise one;
+    the concurrences depend on the state only, so a (q, s) sweep computes
+    them once and calls this per point.
+    """
+    _require_monogamy_params(p)
+    k, *parts = [measures.concurrence_bridge(min(c, 1.0), p) for c in concurrences]
+    return MonogamyReport(k, parts, functools.reduce(operator.sub, parts, k))
+
+
+def monogamy_residual_qubits(state, p: ParamPair) -> MonogamyReport:
+    """Residual of an n-qubit pure state, from ``qubit_concurrences``."""
+    return monogamy_residual(qubit_concurrences(state), p)
+
+
 def monogamy_residual_gen3(params: states.GenSchmidt3, p: ParamPair) -> MonogamyReport:
     """Closed-form residual for the generalized-Schmidt three-qubit family."""
-    _require_monogamy_params(p)
-    c_abc, c_ab, c_ac = gen3_concurrences(params)
-    k = measures.concurrence_bridge(min(c_abc, 1.0), p)
-    k1 = measures.concurrence_bridge(min(c_ab, 1.0), p)
-    k2 = measures.concurrence_bridge(min(c_ac, 1.0), p)
-    return MonogamyReport(k, [k1, k2], k - k1 - k2)
+    return monogamy_residual(gen3_concurrences(params), p)

@@ -291,20 +291,25 @@ def load_state_json(path) -> PureState | DensityMatrix:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8, deep nesting
             raise StateFormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise StateFormatError(f"state file must hold a JSON object, got {doc!r:.40}")
     for key in ("kind", "dims", "data"):
         if key not in doc:
             raise StateFormatError(f"missing field {key!r}")
     kind = doc["kind"]
     if kind not in ("pure", "density"):
         raise StateFormatError(f"kind must be 'pure' or 'density', got {kind!r}")
-    dims = tuple(int(d) for d in doc["dims"])
-    if not dims or any(d < 1 for d in dims):
-        raise StateFormatError(f"dims must be positive integers, got {doc['dims']}")
+    dims = doc["dims"]
+    # bool is an int subclass, but true/false is no dimension.
+    if not (isinstance(dims, list) and dims
+            and all(type(d) is int and d >= 1 for d in dims)):
+        raise StateFormatError(
+            f"dims must be a non-empty list of positive integers, got {dims!r:.40}")
     try:
         pairs = np.asarray(doc["data"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateFormatError(f"data is not numeric: {exc}") from exc
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise StateFormatError("data must be a flat list of [re, im] pairs")

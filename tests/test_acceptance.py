@@ -292,9 +292,9 @@ def test_criterion_10_monogamy():
     min_tau = math.inf
     for seed in range(300):
         n = 3 + seed % 2
-        psi = states.haar_random_pure((2,) * n, seed=seed)
+        conc = inequalities.qubit_concurrences(states.haar_random_pure((2,) * n, seed=seed))
         for p in pairs:
-            min_tau = min(min_tau, inequalities.monogamy_residual_qubits(psi, p).tau)
+            min_tau = min(min_tau, inequalities.monogamy_residual(conc, p).tau)
     ex = states.GenSchmidt3(
         math.sqrt(2 / 7), math.sqrt(1 / 7), math.sqrt(1 / 7), math.sqrt(3 / 7), 0.0
     )

@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -108,14 +109,95 @@ def test_degenerate_roof_options_exit_2(bell_file, capsys, option):
     ["monogamy", "--gen3", "0.6,0,0,0.8,0,0", "--sweep", ""],
     ["closed-form", "werner", "--q", "3", "--s", "2", "--d", "5", "--sweep", "0.5:1:0.1"],
     ["closed-form", "werner", "--q", "3", "--s", "2", "--d", "3", "--sweep", "0.5:1:0.1"],
+    ["closed-form", "isotropic", "--q", "2", "--s", "2", "--d", "3", "--sweep", "1:0.4:0.1"],
+    ["closed-form", "isotropic", "--q", "2", "--s", "2", "--d", "3", "--sweep", "0.4:0.4:0.1"],
+    ["closed-form", "isotropic", "--q", "2", "--s", "2", "--d", "3", "--sweep", "0.4:x:0.1"],
+    ["monogamy", "--gen3", "0.6,0,0,0.8,0,0", "--sweep", "0:1:1e-7"],
+    ["monogamy", "--gen3", "0.6,0,0,0.8,0"],
+    ["monogamy", "--gen3", "0.6,0,0,0.8,0,x"],
+    ["monogamy", "--gen3", "nan,0,0,0,0,0", "--q", "0.5"],
 ], ids=["sweep-nan", "sweep-inf", "monogamy-sweep-inf", "d-0", "q-inf", "q-nan",
         "gen3-phi-nan", "gen3-amp-nan", "d-above-limit", "monogamy-q-0",
         "monogamy-q-minus-0", "monogamy-q-and-sweep", "monogamy-empty-sweep",
-        "werner-d-5", "werner-d-3"])
+        "werner-d-5", "werner-d-3", "sweep-start-above-stop", "sweep-start-at-stop",
+        "sweep-non-numeric", "sweep-above-cap", "gen3-five-fields", "gen3-non-numeric",
+        "gen3-nan-before-q-window"])
 def test_non_finite_or_degenerate_options_exit_2(argv, capsys):
     code, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fault_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("faults")
+    files = {"qutrits": states.max_entangled(3), "density": states.max_entangled(2).to_density()}
+    for name, state in files.items():
+        states.save_state_json(state, root / f"{name}.json")
+    return lambda name: str(root / f"{name}.json")
+
+
+# Two faults at once: the options' (q, s) are checked before the state is.
+@pytest.mark.parametrize("name,argv,code,message", [
+    ("density", ["polygon", "--q", "2", "--s", "1"], 2, "pure state"),
+    ("qutrits", ["monogamy", "--q", "0.5"], 3, "q > 1"),
+    ("qutrits", ["monogamy", "--q", "nan"], 2, "positive and finite"),
+    ("qutrits", ["monogamy", "--s", "1", "--s", "nan"], 2, "positive and finite"),
+    ("qutrits", ["monogamy", "--q", "2"], 2, "qubits"),
+], ids=["polygon-density", "monogamy-qutrits-q-window", "monogamy-qutrits-q-nan",
+        "monogamy-qutrits-later-s-nan", "monogamy-qutrits"])
+def test_state_file_faults_exit_code(fault_files, capsys, name, argv, code, message):
+    got, err = run([argv[0], "--state", fault_files(name), *argv[1:]], capsys)
+    assert got == code
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+ODD = st.sampled_from([None, True, 2, 2.5, -1, "x", "2", float("nan"), 1e400, 10**400,
+                       [], {}, [[2]], [None], {"re": 1}])
+
+
+@st.composite
+def malformed_state_text(draw):
+    """A valid product-state document with at most one part broken."""
+    kind = draw(st.sampled_from(["pure", "density"]))
+    dims = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=2))
+    size = math.prod(dims) ** (1 if kind == "pure" else 2)
+    data = [[1, 0]] + [[0, 0]] * (size - 1)
+    doc = {"kind": kind, "dims": dims, "data": data}
+    fault = draw(st.sampled_from(["none", "kind", "dims", "dim", "data", "entry", "drop",
+                                  "document", "truncate"]))
+    if fault in ("kind", "dims", "data"):
+        doc[fault] = draw(ODD)
+    elif fault == "dim":
+        dims[draw(st.integers(0, len(dims) - 1))] = draw(
+            st.sampled_from([0, -1, 2.0, 2.5, True, "2", None, [2]]))
+    elif fault == "entry":
+        data[draw(st.integers(0, size - 1))] = draw(st.one_of(
+            st.lists(ODD, min_size=2, max_size=2), ODD))
+    elif fault == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    text = json.dumps(draw(ODD) if fault == "document" else doc)
+    return text[:-1] if fault == "truncate" else text
+
+
+def test_malformed_state_files_exit_with_a_known_code(tmp_path):
+    path = tmp_path / "state.json"
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(text=malformed_state_text(),
+           command=st.sampled_from(["compute", "bound", "monogamy", "polygon", "roof"]))
+    def check(text, command):
+        path.write_text(text)
+        argv = [command, "--state", str(path), "--q", "2", "--s", "1"]
+        if command == "roof":
+            argv += ["--restarts", "1", "--iterations", "2"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4), (text, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()
 
 
 REAL = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0", "0.5", "1", "2", "3",

@@ -204,6 +204,38 @@ class TestEnvelope:
         with pytest.raises(RangeError):
             cf.isotropic_envelope(2, 2, cf.MAX_ISOTROPIC_D + 1)
 
+    def test_cache_keyed_by_envelope_not_spelling(self, monkeypatch):
+        builds = []
+        build = cf.build_envelope
+
+        def counting(*args, **kwargs):
+            builds.append(args[3] if len(args) > 3 else kwargs.get("method"))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cf, "build_envelope", counting)
+        cf.isotropic_envelope.cache_clear()
+        cf.werner_envelope.cache_clear()
+        try:
+            cf.isotropic_envelope(2.0, 2.0, 3)
+            cf.isotropic_envelope(2.0, 2.0, 3, "inflection")
+            cf.isotropic_envelope(2.0, 2.0, 3, method="inflection")
+            cf.cqs_isotropic(0.9, 2.0, 2.0, 3)
+            cf.isotropic_envelope(2.0, 2.0, 3, "tangent")
+            cf.isotropic_envelope(2.0, 2.0, 3, method="tangent")
+            bounds.bound_value_tight(2.0, 3, measures.classify(2, 2))
+            cf.cqs_isotropic(0.9, 2.0, 2.0, 3, method="tangent")
+            assert len(builds) == 2
+            cf.werner_envelope(3.0, 2.0)
+            cf.werner_envelope(3.0, 2.0, "inflection")
+            cf.werner_envelope(3.0, 2.0, method="inflection")
+            cf.cqs_werner(0.9, 3.0, 2.0)
+            cf.werner_envelope(3.0, 2.0, "tangent")
+            cf.cqs_werner(0.9, 3.0, 2.0, method="tangent")
+        finally:
+            cf.isotropic_envelope.cache_clear()
+            cf.werner_envelope.cache_clear()
+        assert builds == ["inflection", "tangent"] * 2
+
 
 class TestScalarEvaluators:
     def test_separable_region_zero(self):

@@ -320,3 +320,34 @@ class TestJsonInterface:
         path.write_text(json.dumps(doc))
         with pytest.raises(NotNormalizedError):
             states.load_state_json(path)
+
+    @pytest.mark.parametrize("doc", [
+        3,
+        [1, 2],
+        {"kind": "pure", "dims": 2, "data": [[1, 0], [0, 0]]},
+        {"kind": "pure", "dims": None, "data": [[1, 0], [0, 0]]},
+        {"kind": "pure", "dims": [[2], [2]], "data": [[1, 0], [0, 0]]},
+        {"kind": "pure", "dims": ["x", 2], "data": [[1, 0], [0, 0]]},
+        {"kind": "pure", "dims": ["2"], "data": [[1, 0], [0, 0]]},
+        {"kind": "pure", "dims": [], "data": [[1, 0]]},
+        {"kind": "pure", "dims": [0, 2], "data": []},
+        {"kind": "pure", "dims": [2.5, 2], "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"kind": "pure", "dims": [2.0, 2], "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"kind": "pure", "dims": [True, 4], "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"kind": "pure", "dims": [2], "data": [[10**400, 0], [0, 0]]},
+    ], ids=["number", "list", "dims-number", "dims-null", "dims-nested", "dims-str",
+            "dims-numeric-str", "dims-empty", "dims-zero", "dims-fraction",
+            "dims-float", "dims-bool", "data-int-beyond-float"])
+    def test_malformed_document_rejected(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateFormatError):
+            states.load_state_json(path)
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not-utf8", "deeply-nested"])
+    def test_unparseable_file_rejected(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(StateFormatError, match="JSON"):
+            states.load_state_json(path)
