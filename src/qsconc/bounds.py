@@ -55,6 +55,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, linalg, states
+from .closed_forms import _clip0, _pow
 from .errors import (
     DimensionMismatchError,
     NoApplicableBoundError,
@@ -139,19 +140,18 @@ def _require_regime_a(norm: float, m: int, p: ParamPair) -> None:
         )
 
 
-def _regime_a_bound(m: int, q: float, s: float) -> Callable[[float], float]:
+def _regime_a_bound(m: int, q: float, s: float) -> Callable:
     """Unchecked core of ``bound_value_regime_a`` at fixed (m, q, s).
 
-    Returns norm -> g(norm), 0 for norm <= 1.
+    Returns norm -> g(norm), 0 for norm <= 1; the norm may be an array.
     """
     pref = (1.0 - float(m) ** (s * (1.0 - q))) / (1.0 - float(m) ** (-s))
     c = m * (m - 1)
 
-    def g(norm: float) -> float:
-        if norm <= 1.0:
-            return 0.0
-        inner = 1.0 - (norm - 1.0) ** 2 / c
-        return max(0.0, pref * (1.0 - inner**s))
+    def g(norm):
+        # g is exactly 0 at norm 1, so smaller norms are lifted to 1.
+        n = np.maximum(norm, 1.0)
+        return _clip0(pref * (1.0 - _pow(1.0 - _pow(n - 1.0, 2) / c, s)))
 
     return g
 
@@ -200,17 +200,16 @@ def _require_regime_b(norm: float, m: int, p: ParamPair) -> None:
         raise RangeError(f"need m >= 2, got {m}")
 
 
-def _regime_b_bound(m: int, q: float, s: float) -> Callable[[float], float]:
+def _regime_b_bound(m: int, q: float, s: float) -> Callable:
     """Unchecked core of ``bound_value_regime_b`` at fixed (m, q, s).
 
-    Returns norm -> bound(norm), 0 for norm <= 1.
+    Returns norm -> bound(norm), 0 for norm <= 1; the norm may be an array.
     """
     pref = (float(m) ** (s * (1.0 - q)) - 1.0) / (float(m) ** s - 1.0)
 
-    def bound(norm: float) -> float:
-        if norm <= 1.0:
-            return 0.0
-        return max(0.0, pref * (norm**s - 1.0))
+    def bound(norm):
+        # The bound is exactly 0 at norm 1, so smaller norms are lifted to 1.
+        return _clip0(pref * (_pow(np.maximum(norm, 1.0), s) - 1.0))
 
     return bound
 

@@ -13,6 +13,9 @@ Exit codes follow the error bases of :mod:`qsconc.errors`: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import itertools
 import sys
 from collections.abc import Iterable
 
@@ -29,6 +32,9 @@ EXIT_NUMERIC = 4
 
 
 REAL_FORMAT = "%.12g"
+# Sweep rows evaluated and written together: whole-grid arithmetic without
+# holding every formatted row of a long sweep at once.
+SWEEP_BLOCK = 1024
 
 
 def _fmt(x: float) -> str:
@@ -66,14 +72,13 @@ def _csv_header(args: argparse.Namespace, argv: list[str]) -> str:
 
 def _write_rows(out_path, header_comment: str, columns: list[str],
                 rows: Iterable[tuple[float, ...]]) -> None:
-    row_format = ",".join([REAL_FORMAT] * len(columns))
-    text = "\n".join([header_comment, ",".join(columns),
-                      *map(row_format.__mod__, rows), ""])
-    if out_path:
-        with open(out_path, "w") as fh:
+    """Write the CSV header, then the rows, SWEEP_BLOCK of them per write."""
+    row_format = ",".join([REAL_FORMAT] * len(columns)) + "\n"
+    rows = iter(rows)
+    with (open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(f"{header_comment}\n{','.join(columns)}\n")
+        while text := "".join(map(row_format.__mod__, itertools.islice(rows, SWEEP_BLOCK))):
             fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_compute(args, argv) -> int:
@@ -133,8 +138,7 @@ def cmd_closed_form(args, argv) -> int:
         m, ref_below = 2, 0.0
 
         def curves(x):
-            return (closed_forms._werner_value(x, q, s),
-                    closed_forms.reference_c3t_werner(x))
+            return closed_forms._werner_value(x, q, s), closed_forms._c3t_value(x)
     # The envelope call validated (q, s, d), and the sweep stays inside
     # [0, 1]: every point is in the curves' domains, every norm m * x <= m
     # is in the bound's range, and the bound core gives 0 for norms <= 1.
@@ -143,21 +147,20 @@ def cmd_closed_form(args, argv) -> int:
     except NoApplicableBoundError:
         bound = None
     xs = parse_sweep(args.sweep)
-    xs = np.minimum(xs[(xs >= 0.0) & (xs <= 1.0 + 1e-12)], 1.0).tolist()
-    # On (sep, curve_to] the envelope is the curve itself: up to the
-    # breakpoint, unless bridges replace parts of it.
-    sep = env.sep_threshold
-    curve_to = sep if env.bridges else env.breakpoint
+    xs = np.minimum(xs[(xs >= 0.0) & (xs <= 1.0 + 1e-12)], 1.0)
+    # The sweep's envelope is the inflection one, which has no bridges: on
+    # (sep, breakpoint] it is the curve itself, beyond it the straight tail.
+    sep, knot = env.sep_threshold, env.breakpoint
 
     def rows():
-        for x in xs:
-            if x > sep:
-                xi, ref = curves(x)
-                e = xi if x <= curve_to else env(x)
-            else:
-                xi = e = 0.0
-                ref = ref_below
-            yield x, xi, e, (bound(m * x) if bound else nan), ref
+        for start in range(0, xs.size, SWEEP_BLOCK):
+            x = xs[start:start + SWEEP_BLOCK]
+            above = x > sep
+            xi, ref = np.zeros_like(x), np.full_like(x, ref_below)
+            xi[above], ref[above] = curves(x[above])
+            e = np.where(x > knot, env.tail(x), xi)
+            lb = bound(m * x) if bound else np.full_like(x, nan)
+            yield from zip(*(col.tolist() for col in (x, xi, e, lb, ref)))
 
     _write_rows(args.out, _csv_header(args, argv),
                 ["x", "xi", "envelope", "lower_bound", "reference_curve"], rows())
@@ -230,7 +233,9 @@ def cmd_roof(args, argv) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qsconc",
         description="Two-parameter concurrence toolkit: measures, detection "
@@ -247,12 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", required=True)
     add_qs(sp)
     sp.add_argument("--normalized", action="store_true")
-    sp.set_defaults(func=cmd_compute)
 
     sp = sub.add_parser("bound", help="detection norms and lower bound")
     sp.add_argument("--state", required=True)
     add_qs(sp)
-    sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("closed-form", help="sweep exact symmetric-state curves")
     sp.add_argument("family", choices=["isotropic", "werner"])
@@ -260,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--sweep", required=True, help="START:STOP:STEP")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_closed_form)
 
     sp = sub.add_parser("monogamy", help="residual tau over a (q, s) grid")
     sp.add_argument("--state", default=None)
@@ -269,12 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, action="append", default=None)
     sp.add_argument("--sweep", default=None, help="q sweep START:STOP:STEP")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_monogamy)
 
     sp = sub.add_parser("polygon", help="one-to-rest polygon inequality check")
     sp.add_argument("--state", required=True)
     add_qs(sp)
-    sp.set_defaults(func=cmd_polygon)
 
     sp = sub.add_parser("roof", help="convex-roof upper estimate")
     sp.add_argument("--state", required=True)
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--iterations", type=int, default=800)
     sp.add_argument("--length", type=int, default=None)
-    sp.set_defaults(func=cmd_roof)
     return parser
 
 
@@ -294,8 +293,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    # Looked up per call, so a replaced ``cmd_*`` attribute is the one run.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args, argv)
+        return command(args, argv)
     except ParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS

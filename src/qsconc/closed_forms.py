@@ -52,72 +52,120 @@ def _require_closed_form_params(q: float, s: float) -> None:
         )
 
 
-def isotropic_gamma_delta(f: float, d: int) -> tuple[float, float]:
-    """Extremal Schmidt amplitudes (gamma, delta) at fidelity f."""
-    sf = math.sqrt(f)
-    s1f = math.sqrt(max(0.0, 1.0 - f))
+def _is_array(x) -> bool:
+    """True for an array of one or more axes; scalars take the float path."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def _pow(a, e):
+    """``a ** e`` elementwise with Python's float power, i.e. C libm ``pow``.
+
+    ``np.power`` runs SIMD loops that differ from libm in the last bit on
+    a few percent of inputs; this keeps an array evaluation bit-identical
+    to the scalar one. A scalar ``a`` gives a Python float.
+    """
+    if not _is_array(a):
+        return float(a) ** e
+    return (a.astype(object) ** float(e)).astype(float)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if _is_array(x) else math.sqrt(x)
+
+
+def _real(x):
+    """A Python float for a scalar or 0-d result, the array otherwise."""
+    return x if _is_array(x) else float(x)
+
+
+def _clip0(x):
+    """``max(0.0, x)`` elementwise, as Python's ``max`` gives it (NaN -> 0)."""
+    return np.where(x > 0.0, x, 0.0) if _is_array(x) else max(0.0, float(x))
+
+
+def _clamp(x, lo: float, hi: float):
+    """``min(max(x, lo), hi)`` elementwise."""
+    return np.minimum(np.maximum(x, lo), hi) if _is_array(x) else min(max(x, lo), hi)
+
+
+def _first_outside(x, lo: float, hi: float):
+    """First entry of ``x`` outside [lo, hi], NaN included; None if there is none."""
+    if not _is_array(x):
+        return None if lo <= x <= hi else x
+    inside = (lo <= x) & (x <= hi)
+    return None if inside.all() else x[~inside][0]
+
+
+def isotropic_gamma_delta(f, d: int):
+    """Extremal Schmidt amplitudes (gamma, delta) at fidelity f (scalar or array)."""
+    sf = _sqrt(f)
+    s1f = _sqrt(_clip0(1.0 - f))
     rd1, rd = math.sqrt(d - 1), math.sqrt(d)
     return (sf + rd1 * s1f) / rd, (sf - s1f / rd1) / rd
 
 
-def isotropic_curve(f: float, q: float, s: float, d: int) -> float:
+def isotropic_curve(f, q: float, s: float, d: int):
     """Minimal pure-state measure at fidelity f on C^d x C^d.
 
     Defined for f in [1/d, 1]; identically 0 at the separability
-    threshold f = 1/d.
+    threshold f = 1/d. ``f`` may be an array.
     """
     _require_closed_form_params(q, s)
     if d < 2:
         raise RangeError(f"need d >= 2, got {d}")
-    if not 1.0 / d - 1e-12 <= f <= 1.0 + 1e-12:
-        raise RangeError(f"fidelity {f} outside [1/{d}, 1]")
-    gamma, delta = isotropic_gamma_delta(min(max(f, 1.0 / d), 1.0), d)
+    bad = _first_outside(f, 1.0 / d - 1e-12, 1.0 + 1e-12)
+    if bad is not None:
+        raise RangeError(f"fidelity {bad} outside [1/{d}, 1]")
+    gamma, delta = isotropic_gamma_delta(_clamp(f, 1.0 / d, 1.0), d)
     return _isotropic_value(gamma, delta, q, s, d)
 
 
-def _isotropic_value(gamma: float, delta: float, q: float, s: float, d: int) -> float:
+def _isotropic_value(gamma, delta, q: float, s: float, d: int):
     """Unchecked core of ``isotropic_curve`` from the extremal amplitudes."""
-    t = gamma ** (2 * q) + (d - 1) * max(delta, 0.0) ** (2 * q)
-    return 1.0 - t**s
+    t = _pow(gamma, 2 * q) + (d - 1) * _pow(_clip0(delta), 2 * q)
+    return 1.0 - _pow(t, s)
 
 
-def werner_curve(w: float, q: float, s: float) -> float:
+def werner_curve(w, q: float, s: float):
     """Minimal pure-state measure at antisymmetric weight w.
 
     Defined for w in [1/2, 1]; identically 0 at w = 1/2. The reduction
     collapses to two Schmidt coefficients for every local dimension, so
-    no d argument is needed.
+    no d argument is needed. ``w`` may be an array.
     """
     _require_closed_form_params(q, s)
-    if not 0.5 - 1e-12 <= w <= 1.0 + 1e-12:
-        raise RangeError(f"w = {w} outside [1/2, 1]")
-    return _werner_value(min(max(w, 0.5), 1.0), q, s)
+    bad = _first_outside(w, 0.5 - 1e-12, 1.0 + 1e-12)
+    if bad is not None:
+        raise RangeError(f"w = {bad} outside [1/2, 1]")
+    return _werner_value(_clamp(w, 0.5, 1.0), q, s)
 
 
-def _werner_value(w: float, q: float, s: float) -> float:
+def _werner_value(w, q: float, s: float):
     """Unchecked core of ``werner_curve`` for w in [1/2, 1]."""
-    g = 2.0 * math.sqrt(w * (1.0 - w))
-    t = ((1.0 + g) / 2.0) ** q + ((1.0 - g) / 2.0) ** q
-    return 1.0 - t**s
+    g = 2.0 * _sqrt(w * (1.0 - w))
+    t = _pow((1.0 + g) / 2.0, q) + _pow((1.0 - g) / 2.0, q)
+    return 1.0 - _pow(t, s)
 
 
-def second_difference(curve: Callable[[float], float], x: float,
-                      step: float = SECOND_DIFF_STEP) -> float:
-    """Central second difference (f(x+h) - 2 f(x) + f(x-h)) / h^2."""
+def second_difference(curve: Callable, x, step: float = SECOND_DIFF_STEP):
+    """Central second difference (f(x+h) - 2 f(x) + f(x-h)) / h^2, elementwise."""
     val = (curve(x + step) - 2.0 * curve(x) + curve(x - step)) / (step * step)
-    if not math.isfinite(val):
-        raise NonFiniteError(f"curve second difference at x={x} is not finite")
+    finite = np.isfinite(val)
+    if not finite.all():
+        raise NonFiniteError(
+            f"curve second difference at x={np.extract(~finite, x)[0]} is not finite"
+        )
     return val
 
 
-def _bisect_last_sign_change(fn: Callable[[float], float],
-                             xs: np.ndarray) -> float | None:
+def _bisect_last_sign_change(fn: Callable, xs: np.ndarray) -> float | None:
     """Scan ``fn`` on the grid ``xs`` and bisect its last sign change.
 
-    Refines the bracketing grid interval to a width below 1e-6; None if
-    ``fn`` keeps its sign on the grid.
+    ``fn`` gets the whole grid in one call, then one point per bisection
+    step. Refines the bracketing grid interval to a width below 1e-6;
+    None if ``fn`` keeps its sign on the grid.
     """
-    vals = np.array([fn(float(x)) for x in xs])
+    vals = fn(xs)
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if flips.size == 0:
@@ -137,13 +185,14 @@ def _bisect_last_sign_change(fn: Callable[[float], float],
     return 0.5 * (x_lo + x_hi)
 
 
-def find_breakpoint(curve: Callable[[float], float], domain: tuple[float, float],
+def find_breakpoint(curve: Callable, domain: tuple[float, float],
                     step: float = SECOND_DIFF_STEP, samples: int = 800) -> float:
     """Largest root of the numerical second derivative inside ``domain``.
 
     Scans a grid for the last sign change of the central second
     difference and refines it by bisection to an interval below 1e-6.
-    Returns the right endpoint if the curve stays convex.
+    Returns the right endpoint if the curve stays convex. ``curve`` must
+    accept arrays as well as scalars.
     """
     a, b = domain
     lo, hi = a + 2 * step, b - 2 * step
@@ -154,7 +203,7 @@ def find_breakpoint(curve: Callable[[float], float], domain: tuple[float, float]
     return b if knot is None else knot
 
 
-def _hull_chords(curve: Callable[[float], float], domain: tuple[float, float],
+def _hull_chords(curve: Callable, domain: tuple[float, float],
                  step: float = SECOND_DIFF_STEP,
                  samples: int = 400) -> list[tuple[float, float]]:
     """Chords ``(x0, x1)`` of the lower convex hull of ``curve`` on ``domain``.
@@ -169,7 +218,7 @@ def _hull_chords(curve: Callable[[float], float], domain: tuple[float, float],
     """
     a, b = domain
     xs = np.append(np.linspace(a + 2 * step, b - 2 * step, samples), b)
-    ys = np.array([curve(float(x)) for x in xs])
+    ys = curve(xs)
 
     def above_chord(i: int, j: int, k: int) -> bool:
         chord = ys[i] + (ys[k] - ys[i]) * (xs[j] - xs[i]) / (xs[k] - xs[i])
@@ -235,15 +284,20 @@ class EnvelopeCurve:
                     f0 = self.analytic(x0)
                     return f0 + (self.analytic(x1) - f0) * (x - x0) / (x1 - x0)
             return self.analytic(x)
-        return self.slope * min(x, self.right) + self.intercept
+        return float(self.tail(x))
+
+    def tail(self, x):
+        """The straight segment right of the breakpoint; ``x`` may be an array."""
+        return self.slope * np.minimum(x, self.right) + self.intercept
 
 
-def build_envelope(curve: Callable[[float], float], domain: tuple[float, float],
+def build_envelope(curve: Callable, domain: tuple[float, float],
                    sep_threshold: float, method: str = "inflection") -> EnvelopeCurve:
     """Complete a losing-convexity curve with a straight tail segment.
 
     The tangent method also bridges any interior stretch where the curve
-    is not convex.
+    is not convex. ``curve`` must accept arrays as well as scalars: the
+    scans evaluate their whole grid in one call.
     """
     a, b = domain
     if method == "inflection":
@@ -381,15 +435,14 @@ def reference_q_concurrence_isotropic(f: float, d: int = 3) -> float:
     return _reference_isotropic_value(f, *isotropic_gamma_delta(f, 3))
 
 
-def _reference_isotropic_value(f: float, gamma: float, delta: float) -> float:
+def _reference_isotropic_value(f, gamma, delta):
     """Unchecked core of the d = 3 reference curve above f = 1/3.
 
     Takes the amplitudes ``isotropic_gamma_delta(f, 3)``, which a d = 3
-    sweep shares with ``isotropic_curve``.
+    sweep shares with ``isotropic_curve``. Accepts arrays.
     """
-    if f <= 8.0 / 9.0:
-        return 1.0 - gamma**4 - 2.0 * delta**4
-    return 1.5 * f - 5.0 / 6.0
+    return _real(np.where(f <= 8.0 / 9.0, 1.0 - _pow(gamma, 4) - 2.0 * _pow(delta, 4),
+                          1.5 * f - 5.0 / 6.0))
 
 
 def reference_c3t_werner(w: float) -> float:
@@ -398,4 +451,9 @@ def reference_c3t_werner(w: float) -> float:
         raise RangeError(f"w = {w} outside [0, 1]")
     if w <= 0.5:
         return 0.0
-    return (2.0 * w - 1.0) ** 2
+    return _c3t_value(w)
+
+
+def _c3t_value(w):
+    """Unchecked core of ``reference_c3t_werner`` above w = 1/2; accepts arrays."""
+    return _pow(2.0 * w - 1.0, 2)

@@ -313,6 +313,10 @@ def load_state_json(path) -> PureState | DensityMatrix:
         raise StateFormatError(f"data is not numeric: {exc}") from exc
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise StateFormatError("data must be a flat list of [re, im] pairs")
+    # numpy reads JSON strings and true/false as numbers too.
+    odd = {type(v).__name__ for pair in doc["data"] for v in pair} - {"int", "float"}
+    if odd:
+        raise StateFormatError(f"data entries must be JSON numbers, got {sorted(odd)}")
     flat = pairs[:, 0] + 1j * pairs[:, 1]
     side = math.prod(dims)
     if kind == "pure":

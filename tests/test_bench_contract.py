@@ -89,3 +89,29 @@ def test_build_envelope_gets_the_curve_first(monkeypatch):
     assert len(seen) == 2
     assert seen[0](0.5) == cf.isotropic_curve(0.5, 2, 2, 3)
     assert seen[1](0.75) == cf.werner_curve(0.75, 3, 2)
+
+
+def test_one_parser_serves_successive_calls(bench_module, tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; no call leaks into the next."""
+    from qsconc import cli
+
+    workloads = bench_module("workloads")
+    digests = json.loads(workloads.DIGESTS_PATH.read_text())
+    monkeypatch.chdir(tmp_path)
+    workloads.write_cli_pool()
+    assert cli.build_parser() is cli.build_parser()
+    commands = workloads.cli_commands(0)
+    # Two append-action --s lists, (1, 0.75) then (1, 0.5): a list kept from
+    # the first call would add rows to the second.
+    monogamy = [a for a in commands if a[0] == "monogamy"]
+    assert [a[a.index("--s"):a.index("--s") + 4] for a in monogamy] == [
+        ["--s", "1", "--s", "0.75"], ["--s", "1", "--s", "0.5"]]
+    for argv in [*monogamy, next(a for a in commands if a[0] == "closed-form")]:
+        rc, text = workloads.run_cli(argv)
+        assert rc == 0 and workloads.digest(text) == digests[" ".join(argv)], argv
+    assert cli.main(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("qsconc ")
+    assert cli.main(["monogamy", "--s"]) == 2
+    assert cli.main(["compute", "--q", "2"]) == 2
+    rc, text = workloads.run_cli(monogamy[0])
+    assert rc == 0 and workloads.digest(text) == digests[" ".join(monogamy[0])]

@@ -200,6 +200,48 @@ def test_malformed_state_files_exit_with_a_known_code(tmp_path):
     check()
 
 
+NON_NUMBERS = st.sampled_from([True, False, None, "1", "0.7071067811865476", "x", [], [1],
+                               {}, {"re": 1}])
+
+
+def test_non_number_leaves_exit_2(tmp_path):
+    """A data entry that is not a JSON number, "0.5" and false included, exits 2.
+
+    The first file is a normalized Bell state spelled with a string and a
+    false, which numpy would read as the numbers they look like.
+    """
+    path = tmp_path / "state.json"
+    amp = 0.7071067811865476
+
+    def exit_code(kind, data, command):
+        path.write_text(json.dumps({"kind": kind, "dims": [2, 2], "data": data}))
+        argv = [command, "--state", str(path), "--q", "2", "--s", "1"]
+        if command == "roof":
+            argv += ["--restarts", "1", "--iterations", "2"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert "Traceback" not in err.getvalue()
+        return code, err.getvalue()
+
+    code, err = exit_code("pure", [[str(amp), False], [0, 0], [0, 0], [amp, 0]], "compute")
+    assert code == 2 and "JSON numbers" in err
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(kind=st.sampled_from(["pure", "density"]), where=st.integers(0, 31),
+           leaf=NON_NUMBERS,
+           command=st.sampled_from(["compute", "bound", "monogamy", "polygon", "roof"]))
+    def check(kind, where, leaf, command):
+        data = [[amp, 0], [0, 0], [0, 0], [amp, 0]]
+        if kind == "density":
+            data = [[0.5 if i in (0, 3, 12, 15) else 0, 0] for i in range(16)]
+        data[where // 2 % len(data)][where % 2] = leaf
+        code, err = exit_code(kind, data, command)
+        assert code == 2 and "data" in err, (data, command, err)
+
+    check()
+
+
 REAL = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0", "0.5", "1", "2", "3",
                         "1e308", "1e-308", "x", ""])
 INT = st.sampled_from(["-1", "0", "1", "2", "3", "1.5", "x", ""])

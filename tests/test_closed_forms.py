@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsconc import bounds, closed_forms as cf, measures
+from qsconc import bounds, closed_forms as cf, measures, states
 from qsconc.errors import ClosedFormWindowError, RangeError
 
 
@@ -367,3 +367,109 @@ class TestBoundVsExactCurves:
         )
         lb = bounds.bound_value_regime_a(3 * 0.95, 3, p22)
         assert upper < lb - 5e-3
+
+
+def _per_point(fn, *columns):
+    """``fn`` evaluated one Python float at a time, as an array."""
+    return np.array([fn(*row) for row in zip(*(c.tolist() for c in columns))])
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestArrayEvaluation:
+    """Array calls give the per-point scalar results bit for bit."""
+
+    TRIPLES = [(2, 2, 3), (3, 1, 8), (2.5, 0.8, 4), (10, 0.2, 8), (1.5, 1, 2), (2, 1, 16)]
+
+    def test_pow_is_python_float_pow(self):
+        rng = np.random.default_rng(12)
+        bases = np.concatenate([rng.uniform(0, 1, 4000), rng.uniform(0, 50, 1000),
+                                [0.0, 1.0, 1e-300]])
+        for e in [2, 4, 0.5, *rng.uniform(0.05, 20, 8).tolist()]:
+            _assert_same_bits(cf._pow(bases, e), _per_point(lambda b: b ** e, bases))
+
+    @pytest.mark.parametrize("q,s,d", TRIPLES)
+    def test_isotropic_cores(self, q, s, d):
+        f = np.append(np.random.default_rng(d).uniform(1 / d, 1.0, 600),
+                      [1 / d, 8 / 9, 1.0])
+        gamma, delta = cf.isotropic_gamma_delta(f, d)
+        _assert_same_bits(gamma, _per_point(lambda x: cf.isotropic_gamma_delta(x, d)[0], f))
+        _assert_same_bits(delta, _per_point(lambda x: cf.isotropic_gamma_delta(x, d)[1], f))
+        _assert_same_bits(cf._isotropic_value(gamma, delta, q, s, d),
+                          _per_point(lambda g, dl: cf._isotropic_value(g, dl, q, s, d),
+                                     gamma, delta))
+        _assert_same_bits(cf.isotropic_curve(f, q, s, d),
+                          _per_point(lambda x: cf.isotropic_curve(x, q, s, d), f))
+        _assert_same_bits(cf._reference_isotropic_value(f, gamma, delta),
+                          _per_point(cf._reference_isotropic_value, f, gamma, delta))
+
+    @pytest.mark.parametrize("q,s", [(2, 2), (3, 1), (2.5, 0.8), (10, 0.2)])
+    def test_werner_cores(self, q, s):
+        w = np.append(np.random.default_rng(7).uniform(0.5, 1.0, 600), [0.5, 1.0])
+        _assert_same_bits(cf._werner_value(w, q, s),
+                          _per_point(lambda x: cf._werner_value(x, q, s), w))
+        _assert_same_bits(cf.werner_curve(w, q, s),
+                          _per_point(lambda x: cf.werner_curve(x, q, s), w))
+        _assert_same_bits(cf._c3t_value(w[w > 0.5]),
+                          _per_point(cf.reference_c3t_werner, w[w > 0.5]))
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("q,s", [(2, 2), (3, 1), (2.5, 1.2), (0.5, 0.5), (0.3, 0.6),
+                                     (0.8, 0.5)])
+    def test_bound_cores(self, m, q, s):
+        core = bounds._regime_a_bound if q > 1 else bounds._regime_b_bound
+        norm = np.append(np.random.default_rng(m).uniform(0.0, m, 600), [0.0, 1.0, m])
+        _assert_same_bits(core(m, q, s)(norm), _per_point(core(m, q, s), norm))
+
+    @pytest.mark.parametrize("q,s,d", TRIPLES)
+    def test_envelope_grids(self, q, s, d):
+        env = cf.isotropic_envelope(q, s, d)
+        x = np.linspace(1 / d + 1e-3, 1.0 - 1e-3, 500)
+        _assert_same_bits(cf.second_difference(env.analytic, x),
+                          _per_point(lambda v: cf.second_difference(env.analytic, v), x))
+        tail = np.linspace(env.breakpoint, 1.0, 50)[1:]
+        _assert_same_bits(env.tail(tail), _per_point(env, tail))
+
+    def test_scalar_calls_return_python_floats(self):
+        p22, p55 = measures.classify(2, 2), measures.classify(0.5, 0.5)
+        values = [
+            cf.isotropic_curve(0.7, 2, 2, 3), *cf.isotropic_gamma_delta(0.7, 3),
+            cf.isotropic_curve(np.float64(0.7), 2, 2, 3),
+            cf._isotropic_value(0.9, 0.2, 2, 2, 3), cf.werner_curve(0.8, 3, 2),
+            cf._werner_value(0.8, 3, 2), cf.reference_c3t_werner(0.8),
+            cf.reference_q_concurrence_isotropic(0.7), cf.reference_q_concurrence_isotropic(0.95),
+            cf.isotropic_envelope(2, 2, 3)(0.5), cf.isotropic_envelope(2, 2, 3)(0.9),
+            cf.second_difference(cf.isotropic_envelope(2, 2, 3).analytic, 0.7),
+            bounds.bound_value_regime_a(2.5, 3, p22), bounds.bound_value_regime_a(0.5, 3, p22),
+            bounds.bound_value_regime_b(2.5, 3, p55), bounds.bound_value_tight(2.5, 3, p22),
+            bounds.bound_auto(states.isotropic(0.9, 3), p22).lower_bound,
+        ]
+        assert [type(v) for v in values] == [float] * len(values)
+
+    # (breakpoint, slope, intercept, bridges) as the per-point scans gave them.
+    @pytest.mark.parametrize("make,args,method,want", [
+        (cf.isotropic_envelope, (2, 2, 3), "inflection",
+         "(0.7241784369948114, 1.5215967351550796, -0.6327078462661909, ())"),
+        (cf.isotropic_envelope, (2, 2, 3), "tangent",
+         "(0.5898462224082341, 1.5921195422946395, -0.7032306534057507, ())"),
+        (cf.isotropic_envelope, (10, 0.2, 8), "tangent",
+         "(0.9920619789831023, 1.592176502632884, -0.615859573984609, "
+         "((0.6148305779708061, 0.9687374071776119),))"),
+        (cf.isotropic_envelope, (10, 0.2, 8), "inflection",
+         "(0.9963683610250116, 1.528919432443438, -0.5526025037951631, ())"),
+        (cf.isotropic_envelope, (2.5, 0.8, 8), "inflection",
+         "(0.6756136726694502, 1.1721118931353907, -0.2545811375586965, ())"),
+        (cf.werner_envelope, (3, 2), "inflection",
+         "(0.8333331231910981, 2.291667139486099, -1.354167139486099, ())"),
+        (cf.werner_envelope, (2, 1), "tangent",
+         "(1.0, 1.999799999999885, -1.499799999999885, ())"),
+    ], ids=["iso-2-2-3-inflection", "iso-2-2-3-tangent", "iso-10-0.2-8-tangent",
+            "iso-10-0.2-8-inflection", "iso-2.5-0.8-8-inflection", "werner-3-2-inflection",
+            "werner-2-1-tangent"])
+    def test_envelope_knots_pinned(self, make, args, method, want):
+        make.cache_clear()
+        env = make(*args, method)
+        assert repr((env.breakpoint, env.slope, env.intercept, env.bridges)) == want

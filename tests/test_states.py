@@ -335,9 +335,14 @@ class TestJsonInterface:
         {"kind": "pure", "dims": [2.0, 2], "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
         {"kind": "pure", "dims": [True, 4], "data": [[1, 0], [0, 0], [0, 0], [0, 0]]},
         {"kind": "pure", "dims": [2], "data": [[10**400, 0], [0, 0]]},
+        {"kind": "pure", "dims": [2], "data": [["1", 0], [0, 0]]},
+        {"kind": "pure", "dims": [2], "data": [[1, False], [0, 0]]},
+        {"kind": "pure", "dims": [2], "data": [[True, 0], [0, 0]]},
+        {"kind": "pure", "dims": [2], "data": [[1, None], [0, 0]]},
     ], ids=["number", "list", "dims-number", "dims-null", "dims-nested", "dims-str",
             "dims-numeric-str", "dims-empty", "dims-zero", "dims-fraction",
-            "dims-float", "dims-bool", "data-int-beyond-float"])
+            "dims-float", "dims-bool", "data-int-beyond-float", "data-numeric-str",
+            "data-false", "data-true", "data-null"])
     def test_malformed_document_rejected(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
