@@ -26,6 +26,15 @@ two-qubit pure states for q in about [2.2, 2.75] with s in [1, 1.5] (by
 ``TestPublishedBoundsUnsoundOnPureStates`` in ``tests/test_bounds.py``
 pins these states.
 
+Regime B also fails on mixed states. With s < 1 the bound is strictly
+concave in N between its values at N = 1 and N = m, while the isotropic
+state of norm N mixes the maximally entangled state with the separable
+isotropic state, so its measure is at most the chord between those
+values. At d = 3 an explicit decomposition (the maximally entangled state plus the
+12 product states |u>|u*> of the 4 mutually unbiased bases) has a mean
+measure below the bound: 0.07902 against 0.09704 at (0.5, 0.5), F = 0.5.
+``TestPublishedRegimeBUnsoundOnMixedStates`` pins three such points.
+
 The regime-A mixed-state extension also applies Jensen's inequality,
 which needs g convex on [1, m]; for s > 1 g has an inflection at
 (N-1)^2 = m(m-1)/(2s-1), and when that lies below m the formula exceeds
@@ -43,7 +52,9 @@ the norms are convex, so C(rho) >= co R_m(N(rho)/m) for every state
 isotropic envelope at d = m, so the bound covers every (q, s) of the
 closed forms (q > 1, q*s >= 1). ``bound_value_regime_a``,
 ``bound_value_auto``, ``bound_auto`` and the CLI keep the published
-value g.
+formulas. ``bound_value_regime_a``, ``bound_value_regime_b`` and
+``bound_value_auto`` take a float or an array of norms and check an
+array once.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, linalg, states
-from .closed_forms import _clip0, _pow
+from .closed_forms import _clip0, _is_array, _pow
 from .errors import (
     DimensionMismatchError,
     NoApplicableBoundError,
@@ -126,7 +137,7 @@ def in_regime_b_window(p: ParamPair) -> bool:
     )
 
 
-def _require_regime_a(norm: float, m: int, p: ParamPair) -> None:
+def _require_regime_a(m: int, p: ParamPair) -> None:
     if not in_regime_a_window(p):
         raise RegimeABoundWindowError(
             f"(q, s) = ({p.q}, {p.s}) outside both regime-A windows: "
@@ -134,29 +145,9 @@ def _require_regime_a(norm: float, m: int, p: ParamPair) -> None:
         )
     if m < 2:
         raise RangeError(f"need m >= 2, got {m}")
-    if norm > 1.0 and (norm - 1.0) ** 2 / (m * (m - 1)) > 1.0:
-        raise RangeError(
-            f"norm {norm} exceeds the regime-A maximum 1 + sqrt(m(m-1)) for m = {m}"
-        )
 
 
-def _regime_a_bound(m: int, q: float, s: float) -> Callable:
-    """Unchecked core of ``bound_value_regime_a`` at fixed (m, q, s).
-
-    Returns norm -> g(norm), 0 for norm <= 1; the norm may be an array.
-    """
-    pref = (1.0 - float(m) ** (s * (1.0 - q))) / (1.0 - float(m) ** (-s))
-    c = m * (m - 1)
-
-    def g(norm):
-        # g is exactly 0 at norm 1, so smaller norms are lifted to 1.
-        n = np.maximum(norm, 1.0)
-        return _clip0(pref * (1.0 - _pow(1.0 - _pow(n - 1.0, 2) / c, s)))
-
-    return g
-
-
-def bound_value_regime_a(norm: float, m: int, p: ParamPair) -> float:
+def bound_value_regime_a(norm, m: int, p: ParamPair):
     """Published regime-A formula g from a known max norm; 0 for norm <= 1.
 
     NOT a lower bound everywhere in its window, even for pure states: at
@@ -165,10 +156,20 @@ def bound_value_regime_a(norm: float, m: int, p: ParamPair) -> float:
     ``tests/test_bounds.py``). For mixed states at s > 1 it also fails
     wherever g is not convex on [1, m]. ``bound_value_tight`` is sound.
     Raises ``RangeError`` for m < 2 and for a norm above
-    1 + sqrt(m(m-1)), where g is undefined.
+    1 + sqrt(m(m-1)), where g is undefined. ``norm`` may be an array.
     """
-    _require_regime_a(norm, m, p)
-    return _regime_a_bound(m, p.q, p.s)(norm)
+    _require_regime_a(m, p)
+    # g is exactly 0 at norm 1, so smaller norms are lifted to 1.
+    ratio = _pow(np.maximum(norm, 1.0) - 1.0, 2) / (m * (m - 1))
+    over = ratio > 1.0  # False for a NaN norm, whose NaN value _clip0 maps to 0
+    if over.any() if _is_array(over) else over:
+        raise RangeError(
+            f"norm {norm[over][0] if _is_array(norm) else norm} exceeds the "
+            f"regime-A maximum 1 + sqrt(m(m-1)) for m = {m}"
+        )
+    q, s = p.q, p.s
+    pref = (1.0 - float(m) ** (s * (1.0 - q))) / (1.0 - float(m) ** (-s))
+    return _clip0(pref * (1.0 - _pow(1.0 - ratio, s)))
 
 
 def bound_value_tight(norm: float, m: int, p: ParamPair) -> float:
@@ -184,7 +185,7 @@ def bound_value_tight(norm: float, m: int, p: ParamPair) -> float:
     return closed_forms.isotropic_envelope(p.q, p.s, m, "tangent")(norm / m)
 
 
-def _require_regime_b(norm: float, m: int, p: ParamPair) -> None:
+def _require_regime_b(m: int, p: ParamPair) -> None:
     if not in_regime_b_window(p):
         failed = []
         if not (0 < p.q < 1):
@@ -200,59 +201,43 @@ def _require_regime_b(norm: float, m: int, p: ParamPair) -> None:
         raise RangeError(f"need m >= 2, got {m}")
 
 
-def _regime_b_bound(m: int, q: float, s: float) -> Callable:
-    """Unchecked core of ``bound_value_regime_b`` at fixed (m, q, s).
-
-    Returns norm -> bound(norm), 0 for norm <= 1; the norm may be an array.
-    """
-    pref = (float(m) ** (s * (1.0 - q)) - 1.0) / (float(m) ** s - 1.0)
-
-    def bound(norm):
-        # The bound is exactly 0 at norm 1, so smaller norms are lifted to 1.
-        return _clip0(pref * (_pow(np.maximum(norm, 1.0), s) - 1.0))
-
-    return bound
-
-
-def bound_value_regime_b(norm: float, m: int, p: ParamPair) -> float:
+def bound_value_regime_b(norm, m: int, p: ParamPair):
     """Published regime-B bound from a known max norm; 0 for norm <= 1.
 
-    NOT a lower bound everywhere in its window, even for pure states: it
-    exceeds the measure of some two-qubit pure states at (0.8, 0.5) and
-    (0.9, 0.9), pinned in ``tests/test_bounds.py``.
+    NOT a lower bound everywhere in its window. For pure states it
+    exceeds the measure of some two-qubit states at (0.8, 0.5) and
+    (0.9, 0.9); for mixed states it exceeds the measure of isotropic
+    states at interior fidelities, at every window pair checked. Both
+    are pinned in ``tests/test_bounds.py``. ``norm`` may be an array.
     """
-    _require_regime_b(norm, m, p)
-    return _regime_b_bound(m, p.q, p.s)(norm)
+    _require_regime_b(m, p)
+    q, s = p.q, p.s
+    pref = (float(m) ** (s * (1.0 - q)) - 1.0) / (float(m) ** s - 1.0)
+    # The bound is exactly 0 at norm 1, so smaller norms are lifted to 1.
+    return _clip0(pref * (_pow(np.maximum(norm, 1.0), s) - 1.0))
 
 
-def _bound_family(p: ParamPair):
-    """(checks, core) of the bound family whose window covers (q, s).
-
-    ``checks(norm, m, p)`` raises what the family's public bound function
-    raises, and ``core(m, q, s)`` returns its unchecked norm -> value map.
-    """
+def _bound_function(p: ParamPair) -> Callable:
+    """The published bound function whose window covers (q, s)."""
     if in_regime_a_window(p):
-        return _require_regime_a, _regime_a_bound
+        return bound_value_regime_a
     if in_regime_b_window(p):
-        return _require_regime_b, _regime_b_bound
+        return bound_value_regime_b
     raise NoApplicableBoundError(
         f"(q, s) = ({p.q}, {p.s}) is covered by neither bound family"
     )
 
 
-def bound_value_auto(norm: float, m: int, p: ParamPair) -> float:
-    """Dispatch on (q, s) to whichever bound family applies."""
-    checks, core = _bound_family(p)
-    checks(norm, m, p)
-    return core(m, p.q, p.s)(norm)
+def bound_value_auto(norm, m: int, p: ParamPair):
+    """Dispatch on (q, s) to whichever bound family applies; ``norm`` may be an array."""
+    return _bound_function(p)(norm, m, p)
 
 
 def bound_auto(rho: states.DensityMatrix, p: ParamPair) -> BoundReport:
     """Detect, then bound with the applicable family, or fail if there is none."""
-    checks, core = _bound_family(p)
+    bound = _bound_function(p)
     rep = detect(rho)
-    checks(rep.max_norm, rep.m, p)
-    return replace(rep, lower_bound=core(rep.m, p.q, p.s)(rep.max_norm))
+    return replace(rep, lower_bound=bound(rep.max_norm, rep.m, p))
 
 
 def pure_state_norm(spectrum) -> float:

@@ -122,30 +122,22 @@ def cmd_closed_form(args, argv) -> int:
     nan = float("nan")
     if args.family == "isotropic":
         env = closed_forms.isotropic_envelope(q, s, d)
-        m, ref_below = d, 0.0 if d == 3 else nan
-
-        def curves(x):  # (xi, reference) above the separable threshold
-            gamma, delta = closed_forms.isotropic_gamma_delta(x, d)
-            ref = (closed_forms._reference_isotropic_value(x, gamma, delta)
-                   if d == 3 else nan)
-            return closed_forms._isotropic_value(gamma, delta, q, s, d), ref
+        m = d
+        curve = functools.partial(closed_forms.isotropic_curve, q=q, s=s, d=d)
+        reference = (closed_forms.reference_q_concurrence_isotropic if d == 3
+                     else lambda x: np.full_like(x, nan))
     else:
         # Two-qubit Werner: the bound column's N = 2w and the C3t reference
         # hold at d = 2 only.
         if d != 2:
             raise RangeError(f"the Werner family is two-qubit: need --d 2, got {d}")
         env = closed_forms.werner_envelope(q, s)
-        m, ref_below = 2, 0.0
-
-        def curves(x):
-            return closed_forms._werner_value(x, q, s), closed_forms._c3t_value(x)
+        m = 2
+        curve = functools.partial(closed_forms.werner_curve, q=q, s=s)
+        reference = closed_forms.reference_c3t_werner
     # The envelope call validated (q, s, d), and the sweep stays inside
-    # [0, 1]: every point is in the curves' domains, every norm m * x <= m
-    # is in the bound's range, and the bound core gives 0 for norms <= 1.
-    try:
-        bound = bounds._bound_family(p)[1](m, q, s)
-    except NoApplicableBoundError:
-        bound = None
+    # [0, 1]: every point is in the curves' domains, and every norm
+    # m * x <= m is in the bound's range.
     xs = parse_sweep(args.sweep)
     xs = np.minimum(xs[(xs >= 0.0) & (xs <= 1.0 + 1e-12)], 1.0)
     # The sweep's envelope is the inflection one, which has no bridges: on
@@ -156,11 +148,14 @@ def cmd_closed_form(args, argv) -> int:
         for start in range(0, xs.size, SWEEP_BLOCK):
             x = xs[start:start + SWEEP_BLOCK]
             above = x > sep
-            xi, ref = np.zeros_like(x), np.full_like(x, ref_below)
-            xi[above], ref[above] = curves(x[above])
+            xi = np.zeros_like(x)
+            xi[above] = curve(x[above])
             e = np.where(x > knot, env.tail(x), xi)
-            lb = bound(m * x) if bound else np.full_like(x, nan)
-            yield from zip(*(col.tolist() for col in (x, xi, e, lb, ref)))
+            try:
+                lb = bounds.bound_value_auto(m * x, m, p)
+            except NoApplicableBoundError:
+                lb = np.full_like(x, nan)
+            yield from zip(*(col.tolist() for col in (x, xi, e, lb, reference(x))))
 
     _write_rows(args.out, _csv_header(args, argv),
                 ["x", "xi", "envelope", "lower_bound", "reference_curve"], rows())
@@ -194,7 +189,7 @@ def cmd_monogamy(args, argv) -> int:
     psi = states.load_state_json(args.state) if args.state else None
     params = [measures.classify(float(q), float(s)) for s in s_values for q in qs]
     for p in params:
-        inequalities._require_monogamy_params(p)
+        inequalities.require_monogamy_params(p)
     conc = (inequalities.gen3_concurrences(gen3) if gen3 is not None
             else inequalities.qubit_concurrences(psi))
     reports = [inequalities.monogamy_residual(conc, p) for p in params]

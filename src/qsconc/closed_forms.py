@@ -117,11 +117,6 @@ def isotropic_curve(f, q: float, s: float, d: int):
     if bad is not None:
         raise RangeError(f"fidelity {bad} outside [1/{d}, 1]")
     gamma, delta = isotropic_gamma_delta(_clamp(f, 1.0 / d, 1.0), d)
-    return _isotropic_value(gamma, delta, q, s, d)
-
-
-def _isotropic_value(gamma, delta, q: float, s: float, d: int):
-    """Unchecked core of ``isotropic_curve`` from the extremal amplitudes."""
     t = _pow(gamma, 2 * q) + (d - 1) * _pow(_clip0(delta), 2 * q)
     return 1.0 - _pow(t, s)
 
@@ -137,11 +132,7 @@ def werner_curve(w, q: float, s: float):
     bad = _first_outside(w, 0.5 - 1e-12, 1.0 + 1e-12)
     if bad is not None:
         raise RangeError(f"w = {bad} outside [1/2, 1]")
-    return _werner_value(_clamp(w, 0.5, 1.0), q, s)
-
-
-def _werner_value(w, q: float, s: float):
-    """Unchecked core of ``werner_curve`` for w in [1/2, 1]."""
+    w = _clamp(w, 0.5, 1.0)
     g = 2.0 * _sqrt(w * (1.0 - w))
     t = _pow((1.0 + g) / 2.0, q) + _pow((1.0 - g) / 2.0, q)
     return 1.0 - _pow(t, s)
@@ -424,36 +415,28 @@ def isotropic_extremum_oracle(f: float, q: float, s: float, d: int) -> Isotropic
     return best
 
 
-def reference_q_concurrence_isotropic(f: float, d: int = 3) -> float:
-    """Published single-exponent (q=2) concurrence curve for isotropic states, d=3."""
+def reference_q_concurrence_isotropic(f, d: int = 3):
+    """Published single-exponent (q=2) concurrence curve for isotropic states, d=3.
+
+    ``f`` may be an array over [0, 1]; the curve is 0 up to f = 1/3.
+    """
     if d != 3:
         raise RangeError("reference curve is tabulated for d = 3 only")
-    if not 0.0 <= f <= 1.0 + 1e-12:
-        raise RangeError(f"fidelity {f} outside [0, 1]")
-    if f <= 1.0 / 3.0:
-        return 0.0
-    return _reference_isotropic_value(f, *isotropic_gamma_delta(f, 3))
+    bad = _first_outside(f, 0.0, 1.0 + 1e-12)
+    if bad is not None:
+        raise RangeError(f"fidelity {bad} outside [0, 1]")
+    gamma, delta = isotropic_gamma_delta(f, 3)
+    value = np.where(f <= 8.0 / 9.0, 1.0 - _pow(gamma, 4) - 2.0 * _pow(delta, 4),
+                     1.5 * f - 5.0 / 6.0)
+    return _real(np.where(f <= 1.0 / 3.0, 0.0, value))
 
 
-def _reference_isotropic_value(f, gamma, delta):
-    """Unchecked core of the d = 3 reference curve above f = 1/3.
+def reference_c3t_werner(w):
+    """Published C_3^t concurrence curve for two-qubit Werner states.
 
-    Takes the amplitudes ``isotropic_gamma_delta(f, 3)``, which a d = 3
-    sweep shares with ``isotropic_curve``. Accepts arrays.
+    ``w`` may be an array over [0, 1]; the curve is 0 up to w = 1/2.
     """
-    return _real(np.where(f <= 8.0 / 9.0, 1.0 - _pow(gamma, 4) - 2.0 * _pow(delta, 4),
-                          1.5 * f - 5.0 / 6.0))
-
-
-def reference_c3t_werner(w: float) -> float:
-    """Published C_3^t concurrence curve for two-qubit Werner states."""
-    if not 0.0 <= w <= 1.0 + 1e-12:
-        raise RangeError(f"w = {w} outside [0, 1]")
-    if w <= 0.5:
-        return 0.0
-    return _c3t_value(w)
-
-
-def _c3t_value(w):
-    """Unchecked core of ``reference_c3t_werner`` above w = 1/2; accepts arrays."""
-    return _pow(2.0 * w - 1.0, 2)
+    bad = _first_outside(w, 0.0, 1.0 + 1e-12)
+    if bad is not None:
+        raise RangeError(f"w = {bad} outside [0, 1]")
+    return _pow(_clip0(2.0 * w - 1.0), 2)

@@ -105,7 +105,7 @@ def monogamy_window(p: ParamPair) -> bool:
     return p.q >= 2 and 0 <= p.s <= 1 and 1 <= p.q * p.s <= 3
 
 
-def _require_monogamy_params(p: ParamPair) -> None:
+def require_monogamy_params(p: ParamPair) -> None:
     if p.q <= 1:
         raise MonogamyWindowError(
             f"monogamy residual needs q > 1, got (q, s) = ({p.q}, {p.s})"
@@ -152,7 +152,7 @@ def monogamy_residual(concurrences, p: ParamPair) -> MonogamyReport:
     the concurrences depend on the state only, so a (q, s) sweep computes
     them once and calls this per point.
     """
-    _require_monogamy_params(p)
+    require_monogamy_params(p)
     k, *parts = [measures.concurrence_bridge(min(c, 1.0), p) for c in concurrences]
     return MonogamyReport(k, parts, functools.reduce(operator.sub, parts, k))
 

@@ -211,6 +211,53 @@ class TestPublishedBoundsUnsoundOnPureStates:
         assert rep.lower_bound - exact > excess
 
 
+def isotropic_d3_decomposition(fidelity: float) -> list[np.ndarray]:
+    """Subnormalized pure terms whose projectors sum to ``states.isotropic(F, 3)``.
+
+    sqrt(beta)|Phi> with beta = (F - 1/3)/(2/3), plus sqrt((1 - beta)/12)|u>|u*>
+    for the 12 vectors u of the 4 mutually unbiased bases of C^3: the
+    product terms sum to the separable isotropic state at F = 1/3.
+    """
+    omega, j = np.exp(2j * np.pi / 3), np.arange(3)
+    mub = [*np.eye(3), *(omega ** (b * j * j + k * j) / np.sqrt(3)
+                         for b in range(3) for k in range(3))]
+    beta = (fidelity - 1.0 / 3.0) / (2.0 / 3.0)
+    return ([np.sqrt(beta) * states.max_entangled(3).amplitudes]
+            + [np.sqrt((1.0 - beta) / 12.0) * np.kron(u, u.conj()) for u in mub])
+
+
+class TestPublishedRegimeBUnsoundOnMixedStates:
+    """Pins where the published regime-B bound exceeds an isotropic state's measure.
+
+    The measure of a mixed state is at most the mean pure-state measure of
+    any decomposition of it; at these points the explicit d = 3
+    decomposition's mean is below ``bound_auto``'s lower bound.
+    """
+
+    # (q, s, fidelity, ensemble value, bound), values as measured.
+    CASES = [
+        (0.5, 0.5, 0.5, 0.07902, 0.09704),
+        (0.3, 0.6, 0.7, 0.32248, 0.35232),
+        (0.8, 0.5, 0.7, 0.06387, 0.07125),
+    ]
+
+    @pytest.mark.parametrize("q,s,fidelity,ensemble,bound", CASES)
+    def test_bound_exceeds_decomposition_value(self, q, s, fidelity, ensemble, bound):
+        p = measures.classify(q, s)
+        rho = states.isotropic(fidelity, 3)
+        terms = isotropic_d3_decomposition(fidelity)
+        rebuilt = sum(np.outer(v, v.conj()) for v in terms)
+        assert np.abs(rebuilt - rho.matrix).max() <= 1e-12
+        weights = [float(np.vdot(v, v).real) for v in terms]
+        value = sum(w * measures.cqs_pure(states.PureState((3, 3), v / np.sqrt(w)), p,
+                                          split=0).value
+                    for v, w in zip(terms, weights))
+        rep = bounds.bound_auto(rho, p)
+        assert value == pytest.approx(ensemble, abs=1e-5)
+        assert rep.lower_bound == pytest.approx(bound, abs=1e-5)
+        assert rep.lower_bound > value
+
+
 # The regime-A pairs of PURE_SWEEP_PAIRS, pairs outside the published
 # windows, and (2.75, 1.5), near the published bound's m = 2 defect.
 TIGHT_PURE_PAIRS = [pair for pair in PURE_SWEEP_PAIRS

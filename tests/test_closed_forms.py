@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsconc import bounds, closed_forms as cf, measures, states
-from qsconc.errors import ClosedFormWindowError, RangeError
+from qsconc.errors import ClosedFormWindowError, NoApplicableBoundError, RangeError
 
 
 class TestIsotropicCurve:
@@ -398,31 +398,48 @@ class TestArrayEvaluation:
         gamma, delta = cf.isotropic_gamma_delta(f, d)
         _assert_same_bits(gamma, _per_point(lambda x: cf.isotropic_gamma_delta(x, d)[0], f))
         _assert_same_bits(delta, _per_point(lambda x: cf.isotropic_gamma_delta(x, d)[1], f))
-        _assert_same_bits(cf._isotropic_value(gamma, delta, q, s, d),
-                          _per_point(lambda g, dl: cf._isotropic_value(g, dl, q, s, d),
-                                     gamma, delta))
         _assert_same_bits(cf.isotropic_curve(f, q, s, d),
                           _per_point(lambda x: cf.isotropic_curve(x, q, s, d), f))
-        _assert_same_bits(cf._reference_isotropic_value(f, gamma, delta),
-                          _per_point(cf._reference_isotropic_value, f, gamma, delta))
 
     @pytest.mark.parametrize("q,s", [(2, 2), (3, 1), (2.5, 0.8), (10, 0.2)])
     def test_werner_cores(self, q, s):
         w = np.append(np.random.default_rng(7).uniform(0.5, 1.0, 600), [0.5, 1.0])
-        _assert_same_bits(cf._werner_value(w, q, s),
-                          _per_point(lambda x: cf._werner_value(x, q, s), w))
         _assert_same_bits(cf.werner_curve(w, q, s),
                           _per_point(lambda x: cf.werner_curve(x, q, s), w))
-        _assert_same_bits(cf._c3t_value(w[w > 0.5]),
-                          _per_point(cf.reference_c3t_werner, w[w > 0.5]))
+        _assert_same_bits(cf.reference_c3t_werner(w), _per_point(cf.reference_c3t_werner, w))
+
+    def test_reference_curves_over_their_whole_domain(self):
+        # Both zero regions, the isotropic switch at f = 8/9 and both ends.
+        x = np.append(np.random.default_rng(3).uniform(0.0, 1.0, 600),
+                      [0.0, 1 / 3, 0.5, 8 / 9, np.nextafter(8 / 9, 1.0), 1.0, 1.0 + 1e-13])
+        for ref in (cf.reference_q_concurrence_isotropic, cf.reference_c3t_werner):
+            _assert_same_bits(ref(x), _per_point(ref, x))
+            assert (ref(x)[x <= 1 / 3] == 0.0).all()
+        with pytest.raises(RangeError, match="-0.25"):
+            cf.reference_c3t_werner(np.array([0.5, -0.25]))
+        with pytest.raises(RangeError, match="nan"):
+            cf.reference_q_concurrence_isotropic(np.array([0.5, np.nan]))
 
     @pytest.mark.parametrize("m", [2, 3, 8])
     @pytest.mark.parametrize("q,s", [(2, 2), (3, 1), (2.5, 1.2), (0.5, 0.5), (0.3, 0.6),
                                      (0.8, 0.5)])
     def test_bound_cores(self, m, q, s):
-        core = bounds._regime_a_bound if q > 1 else bounds._regime_b_bound
+        p = measures.classify(q, s)
+        bound = bounds.bound_value_regime_a if q > 1 else bounds.bound_value_regime_b
         norm = np.append(np.random.default_rng(m).uniform(0.0, m, 600), [0.0, 1.0, m])
-        _assert_same_bits(core(m, q, s)(norm), _per_point(core(m, q, s), norm))
+        for fn in (bound, bounds.bound_value_auto):
+            _assert_same_bits(fn(norm, m, p), _per_point(lambda n: fn(n, m, p), norm))
+
+    def test_bound_value_auto_array_errors(self):
+        norm = np.array([0.5, 1.5, 2.0])
+        with pytest.raises(NoApplicableBoundError):
+            bounds.bound_value_auto(norm, 2, measures.classify(2, 1))
+        # The regime-A maximum at m = 2 is 1 + sqrt(2); the error names the
+        # first norm beyond it, and NaN passes as it does for a scalar.
+        over = np.array([np.nan, 2.0, 2.5, 3.0])
+        with pytest.raises(RangeError, match="norm 2.5 exceeds"):
+            bounds.bound_value_auto(over, 2, measures.classify(2, 2))
+        assert bounds.bound_value_auto(over[:2], 2, measures.classify(2, 2))[0] == 0.0
 
     @pytest.mark.parametrize("q,s,d", TRIPLES)
     def test_envelope_grids(self, q, s, d):
@@ -438,13 +455,15 @@ class TestArrayEvaluation:
         values = [
             cf.isotropic_curve(0.7, 2, 2, 3), *cf.isotropic_gamma_delta(0.7, 3),
             cf.isotropic_curve(np.float64(0.7), 2, 2, 3),
-            cf._isotropic_value(0.9, 0.2, 2, 2, 3), cf.werner_curve(0.8, 3, 2),
-            cf._werner_value(0.8, 3, 2), cf.reference_c3t_werner(0.8),
+            cf.isotropic_curve(1.0, 2, 2, 3), cf.werner_curve(0.8, 3, 2),
+            cf.werner_curve(np.float64(0.8), 3, 2), cf.reference_c3t_werner(0.8),
+            cf.reference_c3t_werner(0.3), cf.reference_q_concurrence_isotropic(0.2),
             cf.reference_q_concurrence_isotropic(0.7), cf.reference_q_concurrence_isotropic(0.95),
             cf.isotropic_envelope(2, 2, 3)(0.5), cf.isotropic_envelope(2, 2, 3)(0.9),
             cf.second_difference(cf.isotropic_envelope(2, 2, 3).analytic, 0.7),
             bounds.bound_value_regime_a(2.5, 3, p22), bounds.bound_value_regime_a(0.5, 3, p22),
-            bounds.bound_value_regime_b(2.5, 3, p55), bounds.bound_value_tight(2.5, 3, p22),
+            bounds.bound_value_regime_b(2.5, 3, p55), bounds.bound_value_regime_b(0.5, 3, p55),
+            bounds.bound_value_auto(2.5, 3, p22), bounds.bound_value_tight(2.5, 3, p22),
             bounds.bound_auto(states.isotropic(0.9, 3), p22).lower_bound,
         ]
         assert [type(v) for v in values] == [float] * len(values)
