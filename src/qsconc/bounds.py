@@ -53,8 +53,8 @@ isotropic envelope at d = m, so the bound covers every (q, s) of the
 closed forms (q > 1, q*s >= 1). ``bound_value_regime_a``,
 ``bound_value_auto``, ``bound_auto`` and the CLI keep the published
 formulas. ``bound_value_regime_a``, ``bound_value_regime_b`` and
-``bound_value_auto`` take a float or an array of norms and check an
-array once.
+``bound_value_auto`` take a float or an array of norms, check it once and
+take powers through ``np.float_power`` (libm ``pow``, checked by a test).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, linalg, states
-from .closed_forms import _clip0, _is_array, _pow
+from .closed_forms import _float_if_0d, _pow
 from .errors import (
     DimensionMismatchError,
     NoApplicableBoundError,
@@ -159,17 +159,18 @@ def bound_value_regime_a(norm, m: int, p: ParamPair):
     1 + sqrt(m(m-1)), where g is undefined. ``norm`` may be an array.
     """
     _require_regime_a(m, p)
-    # g is exactly 0 at norm 1, so smaller norms are lifted to 1.
-    ratio = _pow(np.maximum(norm, 1.0) - 1.0, 2) / (m * (m - 1))
-    over = ratio > 1.0  # False for a NaN norm, whose NaN value _clip0 maps to 0
-    if over.any() if _is_array(over) else over:
+    # g is exactly 0 at norm 1, so smaller norms are lifted to 1. A norm
+    # whose square overflows gets ratio inf and fails the range check below.
+    with np.errstate(over="ignore"):
+        ratio = _pow(np.maximum(norm, 1.0) - 1.0, 2) / (m * (m - 1))
+    over = ratio > 1.0  # False for a NaN norm, whose NaN value np.fmax maps to 0
+    if np.count_nonzero(over):
         raise RangeError(
-            f"norm {norm[over][0] if _is_array(norm) else norm} exceeds the "
-            f"regime-A maximum 1 + sqrt(m(m-1)) for m = {m}"
+            f"norm {np.extract(over, norm)[0]} exceeds the regime-A maximum 1 + sqrt(m(m-1)) for m = {m}"
         )
     q, s = p.q, p.s
     pref = (1.0 - float(m) ** (s * (1.0 - q))) / (1.0 - float(m) ** (-s))
-    return _clip0(pref * (1.0 - _pow(1.0 - ratio, s)))
+    return _float_if_0d(np.fmax(pref * (1.0 - _pow(1.0 - ratio, s)), 0.0))
 
 
 def bound_value_tight(norm: float, m: int, p: ParamPair) -> float:
@@ -214,7 +215,7 @@ def bound_value_regime_b(norm, m: int, p: ParamPair):
     q, s = p.q, p.s
     pref = (float(m) ** (s * (1.0 - q)) - 1.0) / (float(m) ** s - 1.0)
     # The bound is exactly 0 at norm 1, so smaller norms are lifted to 1.
-    return _clip0(pref * (_pow(np.maximum(norm, 1.0), s) - 1.0))
+    return _float_if_0d(np.fmax(pref * (_pow(np.maximum(norm, 1.0), s) - 1.0), 0.0))
 
 
 def _bound_function(p: ParamPair) -> Callable:

@@ -35,6 +35,8 @@ import numpy as np
 from .errors import ClosedFormWindowError, NonFiniteError, RangeError
 
 SECOND_DIFF_STEP = 1e-4
+BREAKPOINT_SAMPLES = 800
+HULL_SAMPLES = 400
 BISECT_WIDTH = 1e-6
 HULL_TOL = 1e-12
 CHORD_ROUNDS = 3
@@ -52,56 +54,39 @@ def _require_closed_form_params(q: float, s: float) -> None:
         )
 
 
-def _is_array(x) -> bool:
-    """True for an array of one or more axes; scalars take the float path."""
-    return isinstance(x, np.ndarray) and x.ndim > 0
-
-
 def _pow(a, e):
-    """``a ** e`` elementwise with Python's float power, i.e. C libm ``pow``.
+    """``a ** e`` elementwise through ``np.float_power``.
 
-    ``np.power`` runs SIMD loops that differ from libm in the last bit on
-    a few percent of inputs; this keeps an array evaluation bit-identical
-    to the scalar one. A scalar ``a`` gives a Python float.
+    ``np.float_power`` calls C libm ``pow``, as Python's float ``**`` does,
+    where ``np.power`` runs SIMD loops that differ from libm in the last
+    bit on a few percent of inputs. numpy does not promise this, so
+    ``test_pow_is_python_float_pow`` checks it bit for bit on every build.
     """
-    if not _is_array(a):
-        return float(a) ** e
-    return (a.astype(object) ** float(e)).astype(float)
+    return np.float_power(a, e)
 
 
-def _sqrt(x):
-    return np.sqrt(x) if _is_array(x) else math.sqrt(x)
+def _floats(x):
+    """``x`` as float64, a 0-d one as a numpy scalar, whose operators are cheap."""
+    return np.asarray(x, dtype=float)[()]
 
 
-def _real(x):
-    """A Python float for a scalar or 0-d result, the array otherwise."""
-    return x if _is_array(x) else float(x)
-
-
-def _clip0(x):
-    """``max(0.0, x)`` elementwise, as Python's ``max`` gives it (NaN -> 0)."""
-    return np.where(x > 0.0, x, 0.0) if _is_array(x) else max(0.0, float(x))
-
-
-def _clamp(x, lo: float, hi: float):
-    """``min(max(x, lo), hi)`` elementwise."""
-    return np.minimum(np.maximum(x, lo), hi) if _is_array(x) else min(max(x, lo), hi)
+def _float_if_0d(x):
+    """A Python float for a 0-d numpy result, the array otherwise."""
+    return float(x) if x.ndim == 0 else x
 
 
 def _first_outside(x, lo: float, hi: float):
     """First entry of ``x`` outside [lo, hi], NaN included; None if there is none."""
-    if not _is_array(x):
-        return None if lo <= x <= hi else x
-    inside = (lo <= x) & (x <= hi)
-    return None if inside.all() else x[~inside][0]
+    outside = ~((lo <= x) & (x <= hi))
+    return x[outside][0] if np.count_nonzero(outside) else None
 
 
 def isotropic_gamma_delta(f, d: int):
     """Extremal Schmidt amplitudes (gamma, delta) at fidelity f (scalar or array)."""
-    sf = _sqrt(f)
-    s1f = _sqrt(_clip0(1.0 - f))
+    sf = np.sqrt(f)
+    s1f = np.sqrt(np.fmax(1.0 - f, 0.0))
     rd1, rd = math.sqrt(d - 1), math.sqrt(d)
-    return (sf + rd1 * s1f) / rd, (sf - s1f / rd1) / rd
+    return _float_if_0d((sf + rd1 * s1f) / rd), _float_if_0d((sf - s1f / rd1) / rd)
 
 
 def isotropic_curve(f, q: float, s: float, d: int):
@@ -113,12 +98,13 @@ def isotropic_curve(f, q: float, s: float, d: int):
     _require_closed_form_params(q, s)
     if d < 2:
         raise RangeError(f"need d >= 2, got {d}")
+    f = _floats(f)
     bad = _first_outside(f, 1.0 / d - 1e-12, 1.0 + 1e-12)
     if bad is not None:
         raise RangeError(f"fidelity {bad} outside [1/{d}, 1]")
-    gamma, delta = isotropic_gamma_delta(_clamp(f, 1.0 / d, 1.0), d)
-    t = _pow(gamma, 2 * q) + (d - 1) * _pow(_clip0(delta), 2 * q)
-    return 1.0 - _pow(t, s)
+    gamma, delta = isotropic_gamma_delta(np.minimum(np.maximum(f, 1.0 / d), 1.0), d)
+    t = _pow(gamma, 2 * q) + (d - 1) * _pow(np.fmax(delta, 0.0), 2 * q)
+    return _float_if_0d(1.0 - _pow(t, s))
 
 
 def werner_curve(w, q: float, s: float):
@@ -129,24 +115,27 @@ def werner_curve(w, q: float, s: float):
     no d argument is needed. ``w`` may be an array.
     """
     _require_closed_form_params(q, s)
+    w = _floats(w)
     bad = _first_outside(w, 0.5 - 1e-12, 1.0 + 1e-12)
     if bad is not None:
         raise RangeError(f"w = {bad} outside [1/2, 1]")
-    w = _clamp(w, 0.5, 1.0)
-    g = 2.0 * _sqrt(w * (1.0 - w))
+    w = np.minimum(np.maximum(w, 0.5), 1.0)
+    g = 2.0 * np.sqrt(w * (1.0 - w))
     t = _pow((1.0 + g) / 2.0, q) + _pow((1.0 - g) / 2.0, q)
-    return 1.0 - _pow(t, s)
+    return _float_if_0d(1.0 - _pow(t, s))
 
 
-def second_difference(curve: Callable, x, step: float = SECOND_DIFF_STEP):
-    """Central second difference (f(x+h) - 2 f(x) + f(x-h)) / h^2, elementwise."""
-    val = (curve(x + step) - 2.0 * curve(x) + curve(x - step)) / (step * step)
-    finite = np.isfinite(val)
-    if not finite.all():
+def second_difference(curve: Callable, x):
+    """Central second difference (f(x+h) - 2 f(x) + f(x-h)) / h^2, in one curve call."""
+    h = SECOND_DIFF_STEP
+    up, mid, down = curve(np.array([x + h, x, x - h]))
+    val = (up - 2.0 * mid + down) / (h * h)
+    infinite = ~np.isfinite(val)
+    if np.count_nonzero(infinite):
         raise NonFiniteError(
-            f"curve second difference at x={np.extract(~finite, x)[0]} is not finite"
+            f"curve second difference at x={np.extract(infinite, x)[0]} is not finite"
         )
-    return val
+    return _float_if_0d(val)
 
 
 def _bisect_last_sign_change(fn: Callable, xs: np.ndarray) -> float | None:
@@ -176,27 +165,24 @@ def _bisect_last_sign_change(fn: Callable, xs: np.ndarray) -> float | None:
     return 0.5 * (x_lo + x_hi)
 
 
-def find_breakpoint(curve: Callable, domain: tuple[float, float],
-                    step: float = SECOND_DIFF_STEP, samples: int = 800) -> float:
+def find_breakpoint(curve: Callable, domain: tuple[float, float]) -> float:
     """Largest root of the numerical second derivative inside ``domain``.
 
-    Scans a grid for the last sign change of the central second
-    difference and refines it by bisection to an interval below 1e-6.
-    Returns the right endpoint if the curve stays convex. ``curve`` must
-    accept arrays as well as scalars.
+    Scans a grid of ``BREAKPOINT_SAMPLES`` points for the last sign change
+    of the central second difference and refines it by bisection to an
+    interval below 1e-6. Returns the right endpoint if the curve stays
+    convex. ``curve`` must accept arrays as well as scalars.
     """
     a, b = domain
-    lo, hi = a + 2 * step, b - 2 * step
+    lo, hi = a + 2 * SECOND_DIFF_STEP, b - 2 * SECOND_DIFF_STEP
     if hi <= lo:
-        raise RangeError(f"domain {domain} too narrow for step {step}")
-    knot = _bisect_last_sign_change(lambda x: second_difference(curve, x, step),
-                                    np.linspace(lo, hi, samples))
+        raise RangeError(f"domain {domain} too narrow for step {SECOND_DIFF_STEP}")
+    knot = _bisect_last_sign_change(lambda x: second_difference(curve, x),
+                                    np.linspace(lo, hi, BREAKPOINT_SAMPLES))
     return b if knot is None else knot
 
 
-def _hull_chords(curve: Callable, domain: tuple[float, float],
-                 step: float = SECOND_DIFF_STEP,
-                 samples: int = 400) -> list[tuple[float, float]]:
+def _hull_chords(curve: Callable, domain: tuple[float, float]) -> list[tuple[float, float]]:
     """Chords ``(x0, x1)`` of the lower convex hull of ``curve`` on ``domain``.
 
     The hull of the curve sampled on a grid plus the right endpoint b
@@ -208,6 +194,7 @@ def _hull_chords(curve: Callable, domain: tuple[float, float],
     chord slope to b, the steepest chord that stays below the curve.
     """
     a, b = domain
+    step, samples = SECOND_DIFF_STEP, HULL_SAMPLES
     xs = np.append(np.linspace(a + 2 * step, b - 2 * step, samples), b)
     ys = curve(xs)
 
@@ -224,9 +211,9 @@ def _hull_chords(curve: Callable, domain: tuple[float, float],
     def touch(i: int, other: float) -> float:
         f_other = curve(other)
 
-        def gap(x: float) -> float:
-            deriv = (curve(x + step) - curve(x - step)) / (2 * step)
-            return deriv - (f_other - curve(x)) / (other - x)
+        def gap(x):
+            up, mid, down = curve(np.array([x + step, x, x - step]))
+            return (up - down) / (2 * step) - (f_other - mid) / (other - x)
 
         x = _bisect_last_sign_change(gap, xs[max(i - 1, 0):min(i + 2, samples)])
         return float(xs[i]) if x is None else x
@@ -422,13 +409,14 @@ def reference_q_concurrence_isotropic(f, d: int = 3):
     """
     if d != 3:
         raise RangeError("reference curve is tabulated for d = 3 only")
+    f = _floats(f)
     bad = _first_outside(f, 0.0, 1.0 + 1e-12)
     if bad is not None:
         raise RangeError(f"fidelity {bad} outside [0, 1]")
     gamma, delta = isotropic_gamma_delta(f, 3)
     value = np.where(f <= 8.0 / 9.0, 1.0 - _pow(gamma, 4) - 2.0 * _pow(delta, 4),
                      1.5 * f - 5.0 / 6.0)
-    return _real(np.where(f <= 1.0 / 3.0, 0.0, value))
+    return _float_if_0d(np.where(f <= 1.0 / 3.0, 0.0, value))
 
 
 def reference_c3t_werner(w):
@@ -436,7 +424,8 @@ def reference_c3t_werner(w):
 
     ``w`` may be an array over [0, 1]; the curve is 0 up to w = 1/2.
     """
+    w = _floats(w)
     bad = _first_outside(w, 0.0, 1.0 + 1e-12)
     if bad is not None:
         raise RangeError(f"w = {bad} outside [0, 1]")
-    return _pow(_clip0(2.0 * w - 1.0), 2)
+    return _float_if_0d(_pow(np.fmax(2.0 * w - 1.0, 0.0), 2))

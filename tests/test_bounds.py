@@ -1,5 +1,8 @@
 """Tests for detection and the norm-based lower bounds."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +99,12 @@ def test_regime_a_norm_above_maximum_is_range_error(bound):
     with pytest.raises(RangeError):
         bound(5.0, 2, p)
     assert bound(1.0 + 2**0.5, 2, p) > 0.0
+    # A norm whose square overflows a float names itself, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm, name in [(1e200, "1e+200"), (np.inf, "inf"), (np.array([1.5, 1e200]), "1e+200")]:
+            with pytest.raises(RangeError, match=f"norm {re.escape(name)} exceeds"):
+                bound(norm, 2, p)
 
 
 @pytest.mark.parametrize("bound,q,s", [

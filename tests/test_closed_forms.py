@@ -89,6 +89,44 @@ class TestBreakpoint:
     def test_convex_curve_returns_right_endpoint(self):
         assert cf.find_breakpoint(lambda x: x * x, (0.0, 1.0)) == 1.0
 
+    def test_each_scan_step_makes_one_curve_call(self, monkeypatch):
+        # A scan passes its whole grid, and a bisection step its whole
+        # difference stencil, to the curve in one call.
+        calls, scans = [], []
+
+        def curve(x):
+            calls.append(np.shape(x))
+            return cf.isotropic_curve(x, 2, 2, 3)
+
+        bisect = cf._bisect_last_sign_change
+
+        def counted_bisect(fn, xs):
+            steps = []
+            scans.append(steps)
+
+            def step(x):
+                before = len(calls)
+                value = fn(x)
+                steps.append(len(calls) - before)
+                return value
+
+            return bisect(step, xs)
+
+        monkeypatch.setattr(cf, "_bisect_last_sign_change", counted_bisect)
+        cf.find_breakpoint(curve, (1 / 3, 1.0))
+        (steps,) = scans
+        assert len(steps) > 5 and steps == [1] * len(steps)
+        assert calls == [(3, cf.BREAKPOINT_SAMPLES)] + [(3,)] * (len(steps) - 1)
+
+        calls.clear()
+        scans.clear()
+        cf._hull_chords(curve, (1 / 3, 1.0))
+        assert scans
+        for steps in scans:
+            assert len(steps) > 5 and steps == [1] * len(steps)
+        # The hull grid, then per touch the chord's far end and its steps.
+        assert len(calls) == 1 + sum(1 + len(steps) for steps in scans)
+
 
 class TestEnvelope:
     def test_isotropic_d3_tail(self):
@@ -465,6 +503,11 @@ class TestArrayEvaluation:
             bounds.bound_value_regime_b(2.5, 3, p55), bounds.bound_value_regime_b(0.5, 3, p55),
             bounds.bound_value_auto(2.5, 3, p22), bounds.bound_value_tight(2.5, 3, p22),
             bounds.bound_auto(states.isotropic(0.9, 3), p22).lower_bound,
+            cf.isotropic_curve(np.asarray(0.7), 2, 2, 3), cf.werner_curve(np.asarray(0.7), 3, 2),
+            cf.reference_q_concurrence_isotropic(np.asarray(0.7)),
+            cf.reference_c3t_werner(np.asarray(0.7)),
+            bounds.bound_value_regime_a(np.asarray(2.5), 3, p22),
+            bounds.bound_value_regime_b(np.asarray(2.5), 3, p55),
         ]
         assert [type(v) for v in values] == [float] * len(values)
 
