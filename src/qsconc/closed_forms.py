@@ -198,9 +198,11 @@ def _hull_chords(curve: Callable, domain: tuple[float, float]) -> list[tuple[flo
     xs = np.append(np.linspace(a + 2 * step, b - 2 * step, samples), b)
     ys = curve(xs)
 
+    fx, fy = xs.tolist(), ys.tolist()  # Python floats: numpy scalars are slow here
+
     def above_chord(i: int, j: int, k: int) -> bool:
-        chord = ys[i] + (ys[k] - ys[i]) * (xs[j] - xs[i]) / (xs[k] - xs[i])
-        return ys[j] - chord > HULL_TOL
+        chord = fy[i] + (fy[k] - fy[i]) * (fx[j] - fx[i]) / (fx[k] - fx[i])
+        return fy[j] - chord > HULL_TOL
 
     hull: list[int] = []
     for k in range(xs.size):

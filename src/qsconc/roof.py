@@ -4,18 +4,20 @@ A length-L pure-state decomposition of rho is a matrix phi with
 phi phi† = rho whose column k is sqrt(p_k)|psi_k>. Every such phi is
 a0 U^T, with a0 the scaled eigenvectors of rho and U an L x rank
 isometry, and the estimator minimizes the ensemble-averaged pure-state
-measure over U from seeded restarts:
+measure over U from seeded restarts by a Riemannian gradient search on
+the Stiefel manifold (Rothlisberger, Lehmann and Loss, PRL 102, 100502,
+2009). Each step moves U against the projected gradient, retracts by
+QR, accepts by Armijo's rule and takes its next trial step from
+Barzilai-Borwein (Wen and Yin, Math. Program. 142, 397, 2013). All
+restarts advance together in batched numpy calls.
 
-* Regime A (q >= 1, sign +1): a Riemannian gradient search on the
-  Stiefel manifold (Rothlisberger, Lehmann and Loss, PRL 102, 100502,
-  2009). Each step moves U against the projected gradient, retracts by
-  QR, accepts by Armijo's rule and takes its next trial step from
-  Barzilai-Borwein (Wen and Yin, Math. Program. 142, 397, 2013). All
-  restarts advance together in batched numpy calls.
-* Regime B (q < 1, sign -1): the pure-state measure's gradient is
-  unbounded next to product terms, so the search is an accept/reject
-  walk that mixes two columns of phi by a Givens rotation with an
-  adaptive step.
+* Regime A (q >= 1, sign +1): one stage on the measure itself.
+* Regime B (q < 1, sign -1): the pure-state measure is not smooth at
+  product terms (its slope is infinite there for q < 1/2, its curvature
+  for 1/2 <= q < 1), so the search runs three stages on a smoothed
+  measure whose spectral floor shrinks: 10**-(2 + r % 3) for restart r,
+  then 1e-6, then 0, the measure itself. Each stage starts from where
+  the last one ended.
 
 ``decomposition_length`` is capped at side**2 (enough for an optimal
 decomposition) and ``restarts`` at ``MAX_RESTARTS``, which bounds every
@@ -44,7 +46,6 @@ from .errors import (
 MAX_SIDE = 16
 MAX_RESTARTS = 256
 WEIGHT_FLOOR = 1e-14
-STEP_DECAY = 0.97  # walk: shrink factor applied on each rejected move
 ARMIJO = 1e-4  # sufficient-decrease constant of the gradient search
 MIN_DECREASE = 1e-14  # a restart stops once an accepted step gains less
 MIN_STEP = 1e-12  # ... or once backtracking shrinks the step below this
@@ -55,7 +56,7 @@ BB_CLIP = (1e-10, 1e4)  # bounds on the Barzilai-Borwein trial step
 class RoofConfig:
     decomposition_length: int | None = None  # default: 2 * rank
     restarts: int = 32
-    iterations: int = 2000  # gradient rounds (regime A) or walk steps (regime B)
+    iterations: int = 2000  # gradient rounds, split evenly over the stages
     seed: int = 0
     tolerance: float = 1e-6  # see RoofResult.converged
 
@@ -76,16 +77,19 @@ class RoofConfig:
 class RoofResult:
     """Best decomposition found, with the search's diagnostics.
 
-    ``converged`` means, in regime A, that the best restart ended with a
-    projected-gradient norm at most ``tolerance``; in regime B, that it
-    gained at most ``tolerance`` over its last quarter of iterations.
+    ``converged`` means that the best restart ended its last stage with a
+    projected-gradient norm at most ``tolerance``. ``evaluations`` counts
+    the isometries whose objective and gradient were computed: one per
+    restart at the start of each stage, then one per active restart per
+    round, so at most restarts * (iterations + stages), with one stage in
+    regime A and three in regime B.
     """
 
     estimate: float
     best_weights: np.ndarray
     best_states: list[states.PureState]
     converged: bool
-    restart_values: np.ndarray  # best value reached by each restart
+    restart_values: np.ndarray  # value of each restart's last isometry
     evaluations: int  # objective evaluations made, over all restarts
 
 
@@ -96,19 +100,9 @@ class SandwichReport:
     consistent: bool
 
 
-def _ensemble_average(phi: np.ndarray, da: int, db: int, q: float, s: float,
-                      eps: int) -> float:
-    """sum_k p_k * C_{q,s}(phi_k / sqrt(p_k)) for subnormalized columns phi."""
-    sv = np.linalg.svd(phi.T.reshape(-1, da, db), compute_uv=False)
-    lam = sv * sv  # rows sum to p_k
-    p = lam.sum(axis=1)
-    live = p >= WEIGHT_FLOOR
-    t = np.sum((lam[live] / p[live, None]) ** q, axis=1)
-    return float(np.sum(p[live] * eps * (1.0 - t**s)))
-
-
 def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
-                        q: float, s: float, eps: int) -> tuple[np.ndarray, np.ndarray]:
+                        q: float, s: float, eps: int,
+                        floor: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Objective of each isometry in a stack u, and its gradient dh/dU*.
 
     Term k is the da x db block M = U S V† of phi = a0 U^T, with
@@ -118,6 +112,12 @@ def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
     The last factor is evaluated as x0**(qs-1) tau**(s-1) r**(q-1) S,
     with x0 the largest lambda/p, r = lambda/lambda_max and
     tau = sum r**q, which keeps every power in [0, 1] for q >= 1.
+
+    A per-isometry ``floor`` c smooths the measure: each spectrum of k
+    values becomes (lambda + c p)/(1 + k c), which keeps p, and the
+    weights w of dh/dlambda mix the same way, (w + c sum w)/(1 + k c).
+    A zero singular value gets weight 0 (for q < 1/2 its slope is
+    infinite). ``floor=None`` is the unsmoothed measure for q >= 1.
     """
     n, length, rank = u.shape
     blocks = (u @ a0.T).reshape(n, length, da, db)  # block k is column k of phi
@@ -128,13 +128,21 @@ def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
     # Dead terms get a harmless stand-in; their value and gradient are zeroed.
     lam = np.where(live[..., None], lam, 1.0)
     p = np.where(live, p, 1.0)
+    if floor is not None:
+        c = floor[:, None, None]
+        mix = 1.0 + sv.shape[-1] * c
+        lam = (lam + c * p[..., None]) / mix
     ts = np.sum((lam / p[..., None]) ** q, axis=-1) ** s
     value = np.sum(np.where(live, p * eps * (1.0 - ts), 0.0), axis=-1)
     r = lam / lam[..., :1]
     x0 = lam[..., 0] / p
     tau = np.sum(r**q, axis=-1)
     coef = np.where(live, q * s * x0 ** (q * s - 1) * tau ** (s - 1), 0.0)
-    weights = coef[..., None] * r ** (q - 1) * sv
+    if floor is None:
+        weights = coef[..., None] * r ** (q - 1) * sv
+    else:
+        w = coef[..., None] * np.power(r, q - 1, out=np.zeros_like(r), where=r > 0)
+        weights = (w + c * w.sum(axis=-1, keepdims=True)) / mix * sv
     lin = np.where(live, 1.0 - (1.0 - q * s) * ts, 0.0)
     grad = lin[..., None, None] * blocks - (left * weights[..., None, :]) @ right
     return value, eps * grad.reshape(n, length, da * db) @ a0.conj()
@@ -166,88 +174,57 @@ def _start(rng: np.random.Generator, restart: int, length: int, rank: int) -> np
     return np.linalg.qr(z)[0]
 
 
-def _descend(a0, cfg, length, rank, args):
-    """Batched Riemannian gradient search; returns (phi, values, converged, evals)."""
+def _descend(a0, cfg, length, rank, args, floors):
+    """Batched Riemannian gradient search; returns (phi, values, converged, evals).
+
+    Each stage restarts the step rules from the current isometries under
+    its own floor and runs ``iterations // len(floors)`` rounds.
+    """
     n = cfg.restarts
     u = np.stack([_start(np.random.default_rng((cfg.seed, r)), r, length, rank)
                   for r in range(n)])
-    f, g = _value_and_gradient(u, a0, *args)
-    xi = _tangent(u, g)
-    xi2 = _inner(xi, xi)
-    step = np.ones(n)
-    accepted = np.zeros(n, dtype=int)
-    active = np.sqrt(xi2) > cfg.tolerance
-    evaluations = n
+    evaluations = 0
     tiny = np.finfo(float).tiny
-    for _ in range(cfg.iterations):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        trial = _retract(u[idx] - step[idx, None, None] * xi[idx])
-        ft, gt = _value_and_gradient(trial, a0, *args)
-        evaluations += idx.size
-        # Along -xi the slope of f is -2|xi|^2, since xi projects df/dU*.
-        ok = ft <= f[idx] - ARMIJO * 2.0 * step[idx] * xi2[idx]
-        rej = idx[~ok]
-        step[rej] /= 2.0
-        active[rej] = step[rej] >= MIN_STEP
-        acc = idx[ok]
-        if acc.size == 0:
-            continue
-        u_new = trial[ok]
-        xi_new = _tangent(u_new, gt[ok])
-        ds, dy = u_new - u[acc], xi_new - xi[acc]
-        ss, yy = _inner(ds, ds), _inner(dy, dy)
-        sy = np.abs(_inner(ds, dy))
-        bb = np.where(accepted[acc] % 2 == 0,
-                      ss / np.maximum(sy, tiny), sy / np.maximum(yy, tiny))
-        decrease = f[acc] - ft[ok]
-        u[acc], xi[acc], f[acc] = u_new, xi_new, ft[ok]
-        xi2[acc] = _inner(xi_new, xi_new)
-        step[acc] = np.clip(bb, *BB_CLIP)
-        accepted[acc] += 1
-        active[acc] = (decrease >= MIN_DECREASE) & (np.sqrt(xi2[acc]) > cfg.tolerance)
+    for floor in floors:
+        f, g = _value_and_gradient(u, a0, *args, floor)
+        xi = _tangent(u, g)
+        xi2 = _inner(xi, xi)
+        step = np.ones(n)
+        accepted = np.zeros(n, dtype=int)
+        active = np.sqrt(xi2) > cfg.tolerance
+        evaluations += n
+        for _ in range(cfg.iterations // len(floors)):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            trial = _retract(u[idx] - step[idx, None, None] * xi[idx])
+            ft, gt = _value_and_gradient(trial, a0, *args,
+                                         None if floor is None else floor[idx])
+            evaluations += idx.size
+            # Along -xi the slope of f is -2|xi|^2, since xi projects df/dU*.
+            ok = ft <= f[idx] - ARMIJO * 2.0 * step[idx] * xi2[idx]
+            rej = idx[~ok]
+            step[rej] /= 2.0
+            active[rej] = step[rej] >= MIN_STEP
+            acc = idx[ok]
+            if acc.size == 0:
+                continue
+            u_new = trial[ok]
+            xi_new = _tangent(u_new, gt[ok])
+            ds, dy = u_new - u[acc], xi_new - xi[acc]
+            ss, yy = _inner(ds, ds), _inner(dy, dy)
+            sy = np.abs(_inner(ds, dy))
+            bb = np.where(accepted[acc] % 2 == 0,
+                          ss / np.maximum(sy, tiny), sy / np.maximum(yy, tiny))
+            decrease = f[acc] - ft[ok]
+            u[acc], xi[acc], f[acc] = u_new, xi_new, ft[ok]
+            xi2[acc] = _inner(xi_new, xi_new)
+            step[acc] = np.clip(bb, *BB_CLIP)
+            accepted[acc] += 1
+            active[acc] = (decrease >= MIN_DECREASE) & (np.sqrt(xi2[acc]) > cfg.tolerance)
     best = int(np.argmin(f))
     converged = bool(np.sqrt(xi2[best]) <= cfg.tolerance)
     return a0 @ u[best].T, f, converged, evaluations
-
-
-def _walk(a0, cfg, length, rank, args):
-    """Givens accept/reject walk per restart; returns (phi, values, converged, evals)."""
-    best_val = math.inf
-    best_phi = None
-    converged = False
-    values = []
-    search_iters = cfg.iterations if length >= 2 else 0
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, restart))
-        phi = a0 @ _start(rng, restart, length, rank).T
-        val = _ensemble_average(phi, *args)
-        step = 0.5
-        checkpoint = val
-        checkpoint_at = int(0.75 * cfg.iterations)
-        for t in range(search_iters):
-            i, j = rng.choice(length, size=2, replace=False)
-            theta = step * rng.standard_normal()
-            phase = step * rng.standard_normal()
-            c, sn = math.cos(theta), math.sin(theta)
-            e = complex(math.cos(phase), math.sin(phase))
-            g = np.array([[c, e.conjugate() * sn], [-e * sn, c]])
-            cand = phi.copy()
-            cand[:, [i, j]] = phi[:, [i, j]] @ g
-            cand_val = _ensemble_average(cand, *args)
-            if cand_val < val - 1e-15:
-                phi, val = cand, cand_val
-                step = min(step * 1.1, 1.0)
-            else:
-                step = max(step * STEP_DECAY, 1e-4)
-            if t == checkpoint_at:
-                checkpoint = val
-        values.append(val)
-        if val < best_val:
-            best_val, best_phi = val, phi
-            converged = (checkpoint - val) <= cfg.tolerance
-    return best_phi, np.array(values), converged, cfg.restarts * (1 + search_iters)
 
 
 def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
@@ -276,8 +253,10 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
         )
     a0 = vecs * np.sqrt(mu)  # column j = sqrt(mu_j)|e_j>
     args = (da, db, p.q, p.s, p.epsilon)
-    search = _descend if p.regime is measures.Regime.A else _walk
-    best_phi, values, converged, evaluations = search(a0, cfg, length, rank, args)
+    n = cfg.restarts
+    floors = ([None] if p.regime is measures.Regime.A else
+              [10.0 ** -(2 + np.arange(n) % 3), np.full(n, 1e-6), np.zeros(n)])
+    best_phi, values, converged, evaluations = _descend(a0, cfg, length, rank, args, floors)
 
     residual = float(np.max(np.abs(best_phi @ best_phi.conj().T - rho.matrix)))
     if residual > 1e-7:
