@@ -76,10 +76,11 @@ print("== CSV export (same columns as the CLI closed-form command) ==")
 fs = np.arange(0.34, 1.0001, 0.02)
 rows = [(f, isotropic_curve(f, 2, 2, 3) if f > 1 / 3 else 0.0,
          cqs_isotropic(f, 2, 2, 3)) for f in fs]
-path = os.path.join(tempfile.mkdtemp(prefix="qsconc-demo-"), "isotropic_d3_22.csv")
-with open(path, "w") as fh:
-    fh.write("x,xi,envelope\n")
-    for r in rows:
-        fh.write(",".join(f"{v:.12g}" for v in r) + "\n")
-print(f"wrote {path} with {len(rows)} rows "
-      f"(or run: qsconc closed-form isotropic --q 2 --s 2 --d 3 --sweep 0.34:1.0:0.002)")
+with tempfile.TemporaryDirectory(prefix="qsconc-demo-") as tmp:
+    path = os.path.join(tmp, "isotropic_d3_22.csv")
+    with open(path, "w") as fh:
+        fh.write("x,xi,envelope\n")
+        for r in rows:
+            fh.write(",".join(f"{v:.12g}" for v in r) + "\n")
+    print(f"wrote {path} with {len(rows)} rows, removed on exit "
+          f"(or run: qsconc closed-form isotropic --q 2 --s 2 --d 3 --sweep 0.34:1.0:0.002)")

@@ -82,7 +82,21 @@ def _first_outside(x, lo: float, hi: float):
 
 
 def isotropic_gamma_delta(f, d: int):
-    """Extremal Schmidt amplitudes (gamma, delta) at fidelity f (scalar or array)."""
+    """Extremal Schmidt amplitudes (gamma, delta) at fidelity f (scalar or array).
+
+    Defined for d >= 2 and f in [0, 1].
+    """
+    if d < 2:
+        raise RangeError(f"need d >= 2, got {d}")
+    f = _floats(f)
+    bad = _first_outside(f, 0.0, 1.0 + 1e-12)
+    if bad is not None:
+        raise RangeError(f"fidelity {bad} outside [0, 1]")
+    return _gamma_delta(f, d)
+
+
+def _gamma_delta(f, d: int):
+    """``isotropic_gamma_delta`` for callers that have checked f and d."""
     sf = np.sqrt(f)
     s1f = np.sqrt(np.fmax(1.0 - f, 0.0))
     rd1, rd = math.sqrt(d - 1), math.sqrt(d)
@@ -102,7 +116,7 @@ def isotropic_curve(f, q: float, s: float, d: int):
     bad = _first_outside(f, 1.0 / d - 1e-12, 1.0 + 1e-12)
     if bad is not None:
         raise RangeError(f"fidelity {bad} outside [1/{d}, 1]")
-    gamma, delta = isotropic_gamma_delta(np.minimum(np.maximum(f, 1.0 / d), 1.0), d)
+    gamma, delta = _gamma_delta(np.minimum(np.maximum(f, 1.0 / d), 1.0), d)
     t = _pow(gamma, 2 * q) + (d - 1) * _pow(np.fmax(delta, 0.0), 2 * q)
     return _float_if_0d(1.0 - _pow(t, s))
 
@@ -415,7 +429,7 @@ def reference_q_concurrence_isotropic(f, d: int = 3):
     bad = _first_outside(f, 0.0, 1.0 + 1e-12)
     if bad is not None:
         raise RangeError(f"fidelity {bad} outside [0, 1]")
-    gamma, delta = isotropic_gamma_delta(f, 3)
+    gamma, delta = _gamma_delta(f, 3)
     value = np.where(f <= 8.0 / 9.0, 1.0 - _pow(gamma, 4) - 2.0 * _pow(delta, 4),
                      1.5 * f - 5.0 / 6.0)
     return _float_if_0d(np.where(f <= 1.0 / 3.0, 0.0, value))

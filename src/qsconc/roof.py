@@ -19,6 +19,13 @@ restarts advance together in batched numpy calls.
   then 1e-6, then 0, the measure itself. Each stage starts from where
   the last one ended.
 
+Each round scores a term from the spectrum of its block's Gram matrix on
+the smaller side, one small Hermitian eigh per block. Those eigenvalues
+carry an absolute error of about 1e-16 times the term's weight, which
+moves the unsmoothed regime-B measure at small q, so the returned values
+are not the search's own: one batched SVD of every restart's last
+isometry scores it exactly, and the best restart is chosen on that score.
+
 ``decomposition_length`` is capped at side**2 (enough for an optimal
 decomposition) and ``restarts`` at ``MAX_RESTARTS``, which bounds every
 array the search allocates.
@@ -82,14 +89,15 @@ class RoofResult:
     the isometries whose objective and gradient were computed: one per
     restart at the start of each stage, then one per active restart per
     round, so at most restarts * (iterations + stages), with one stage in
-    regime A and three in regime B.
+    regime A and three in regime B. The final exact scoring of each
+    restart from singular values is not counted.
     """
 
     estimate: float
     best_weights: np.ndarray
     best_states: list[states.PureState]
     converged: bool
-    restart_values: np.ndarray  # value of each restart's last isometry
+    restart_values: np.ndarray  # exact value of each restart's last isometry
     evaluations: int  # objective evaluations made, over all restarts
 
 
@@ -100,29 +108,45 @@ class SandwichReport:
     consistent: bool
 
 
+def _blocks(u: np.ndarray, a0: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Stack of the da x db blocks of phi = a0 U^T, one per term of each isometry."""
+    n, length, _ = u.shape
+    return (u @ a0.T).reshape(n, length, da, db)  # block k is column k of phi
+
+
 def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
                         q: float, s: float, eps: int,
                         floor: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Objective of each isometry in a stack u, and its gradient dh/dU*.
 
-    Term k is the da x db block M = U S V† of phi = a0 U^T, with
-    lambda = S**2, p = sum lambda and t = sum (lambda/p)**q. Its measure
-    is p*eps*(1 - t**s), and its Wirtinger gradient is
-    eps*[(1 - (1-qs) t**s) M - qs t**(s-1) p**(1-q) U S**(2q-1) V†].
-    The last factor is evaluated as x0**(qs-1) tau**(s-1) r**(q-1) S,
-    with x0 the largest lambda/p, r = lambda/lambda_max and
-    tau = sum r**q, which keeps every power in [0, 1] for q >= 1.
+    Term k is the da x db block M of phi = a0 U^T. Its spectrum lambda
+    (ascending) and eigenvectors V come from one Hermitian eigh of the
+    Gram matrix on its smaller side, M M† when da <= db, else the same on
+    M^T, so lambda has min(da, db) entries. With p = sum lambda and
+    t = sum (lambda/p)**q, the term's measure is p*eps*(1 - t**s), and
+    its Wirtinger gradient is eps*[(1 - (1-qs) t**s) M - V diag(w) V† M]
+    with w = qs t**(s-1) p**(1-q) lambda**(q-1); as V is unitary, both
+    parts are formed as one V diag(.) V† M. The weights are evaluated as
+    x0**(qs-1) tau**(s-1) r**(q-1), with x0 the largest lambda/p,
+    r = lambda/lambda_max, tau = sum r**q and t = x0**q tau, which keeps
+    every power in [0, 1] for q >= 1.
+
+    Gram eigenvalues carry an absolute error of about 1e-16 p, so a value
+    here can be off where the measure is steep at a zero Schmidt value
+    (q < 1 without a floor); ``roof_estimate`` rescores the search's
+    results from singular values with ``_measure``.
 
     A per-isometry ``floor`` c smooths the measure: each spectrum of k
-    values becomes (lambda + c p)/(1 + k c), which keeps p, and the
-    weights w of dh/dlambda mix the same way, (w + c sum w)/(1 + k c).
-    A zero singular value gets weight 0 (for q < 1/2 its slope is
-    infinite). ``floor=None`` is the unsmoothed measure for q >= 1.
+    values becomes (lambda + c p)/(1 + k c), which keeps p, and w mixes
+    the same way, (w + c sum w)/(1 + k c). A zero eigenvalue gets weight
+    0 (for q < 1/2 its slope is infinite). ``floor=None`` is the
+    unsmoothed measure for q >= 1.
     """
     n, length, rank = u.shape
-    blocks = (u @ a0.T).reshape(n, length, da, db)  # block k is column k of phi
-    left, sv, right = np.linalg.svd(blocks, full_matrices=False)
-    lam = sv * sv
+    blocks = _blocks(u, a0, da, db)
+    m = blocks if da <= db else blocks.swapaxes(-1, -2)
+    lam, vec = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
+    lam = np.fmax(lam, 0.0)
     p = lam.sum(axis=-1)
     live = p >= WEIGHT_FLOOR
     # Dead terms get a harmless stand-in; their value and gradient are zeroed.
@@ -130,22 +154,34 @@ def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
     p = np.where(live, p, 1.0)
     if floor is not None:
         c = floor[:, None, None]
-        mix = 1.0 + sv.shape[-1] * c
+        mix = 1.0 + lam.shape[-1] * c
         lam = (lam + c * p[..., None]) / mix
-    ts = np.sum((lam / p[..., None]) ** q, axis=-1) ** s
-    value = np.sum(np.where(live, p * eps * (1.0 - ts), 0.0), axis=-1)
-    r = lam / lam[..., :1]
-    x0 = lam[..., 0] / p
+    r = lam / lam[..., -1:]
+    x0 = lam[..., -1] / p
     tau = np.sum(r**q, axis=-1)
-    coef = np.where(live, q * s * x0 ** (q * s - 1) * tau ** (s - 1), 0.0)
+    ts = (tau * x0**q) ** s
+    value = eps * np.sum(np.where(live, p * (1.0 - ts), 0.0), axis=-1)
+    coef = q * s * x0 ** (q * s - 1) * tau ** (s - 1)
     if floor is None:
-        weights = coef[..., None] * r ** (q - 1) * sv
+        w = coef[..., None] * r ** (q - 1)
     else:
         w = coef[..., None] * np.power(r, q - 1, out=np.zeros_like(r), where=r > 0)
-        weights = (w + c * w.sum(axis=-1, keepdims=True)) / mix * sv
-    lin = np.where(live, 1.0 - (1.0 - q * s) * ts, 0.0)
-    grad = lin[..., None, None] * blocks - (left * weights[..., None, :]) @ right
-    return value, eps * grad.reshape(n, length, da * db) @ a0.conj()
+        w = (w + c * w.sum(axis=-1, keepdims=True)) / mix
+    lin_w = np.where(live[..., None], (1.0 - (1.0 - q * s) * ts)[..., None] - w, 0.0)
+    grad = (vec * lin_w[..., None, :]) @ (vec.conj().swapaxes(-1, -2) @ m)
+    if da > db:
+        grad = grad.swapaxes(-1, -2)
+    return value, grad.reshape(n, length, da * db) @ (eps * a0.conj())
+
+
+def _measure(u: np.ndarray, a0: np.ndarray, da: int, db: int,
+             q: float, s: float, eps: int) -> np.ndarray:
+    """Exact objective of each isometry in u: one batched SVD of all blocks."""
+    lam = np.linalg.svd(_blocks(u, a0, da, db), compute_uv=False) ** 2
+    p = lam.sum(axis=-1)
+    live = p >= WEIGHT_FLOOR
+    ts = np.sum((lam / np.where(live, p, 1.0)[..., None]) ** q, axis=-1) ** s
+    return np.sum(np.where(live, p * eps * (1.0 - ts), 0.0), axis=-1)
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -166,23 +202,29 @@ def _retract(y: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _start(rng: np.random.Generator, restart: int, length: int, rank: int) -> np.ndarray:
-    """Start isometry: the eigen-decomposition for restart 0, else Haar-like."""
-    if restart == 0:
-        return np.eye(length, rank, dtype=complex)
-    z = rng.standard_normal((length, rank)) + 1j * rng.standard_normal((length, rank))
-    return np.linalg.qr(z)[0]
+def _starts(seed: int, n: int, length: int, rank: int) -> np.ndarray:
+    """Start isometries: the eigen-decomposition for restart 0, else Haar-like.
+
+    Restart r draws from its own stream ``default_rng((seed, r))``, and
+    one batched QR orthonormalizes every draw.
+    """
+    z = np.empty((n - 1, length, rank), dtype=complex)
+    for r in range(1, n):
+        rng = np.random.default_rng((seed, r))
+        z[r - 1] = rng.standard_normal((length, rank)) + 1j * rng.standard_normal((length, rank))
+    return np.concatenate([np.eye(length, rank, dtype=complex)[None], np.linalg.qr(z)[0]])
 
 
 def _descend(a0, cfg, length, rank, args, floors):
-    """Batched Riemannian gradient search; returns (phi, values, converged, evals).
+    """Batched Riemannian gradient search; returns (u, xi2, evaluations).
 
     Each stage restarts the step rules from the current isometries under
-    its own floor and runs ``iterations // len(floors)`` rounds.
+    its own floor and runs ``iterations // len(floors)`` rounds. u holds
+    every restart's last isometry and xi2 its squared projected-gradient
+    norm.
     """
     n = cfg.restarts
-    u = np.stack([_start(np.random.default_rng((cfg.seed, r)), r, length, rank)
-                  for r in range(n)])
+    u = _starts(cfg.seed, n, length, rank)
     evaluations = 0
     tiny = np.finfo(float).tiny
     for floor in floors:
@@ -222,9 +264,7 @@ def _descend(a0, cfg, length, rank, args, floors):
             step[acc] = np.clip(bb, *BB_CLIP)
             accepted[acc] += 1
             active[acc] = (decrease >= MIN_DECREASE) & (np.sqrt(xi2[acc]) > cfg.tolerance)
-    best = int(np.argmin(f))
-    converged = bool(np.sqrt(xi2[best]) <= cfg.tolerance)
-    return a0 @ u[best].T, f, converged, evaluations
+    return u, xi2, evaluations
 
 
 def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
@@ -256,7 +296,10 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
     n = cfg.restarts
     floors = ([None] if p.regime is measures.Regime.A else
               [10.0 ** -(2 + np.arange(n) % 3), np.full(n, 1e-6), np.zeros(n)])
-    best_phi, values, converged, evaluations = _descend(a0, cfg, length, rank, args, floors)
+    u, xi2, evaluations = _descend(a0, cfg, length, rank, args, floors)
+    values = _measure(u, a0, *args)
+    best = int(np.argmin(values))
+    best_phi = a0 @ u[best].T
 
     residual = float(np.max(np.abs(best_phi @ best_phi.conj().T - rho.matrix)))
     if residual > 1e-7:
@@ -267,8 +310,8 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
         states.PureState((da, db), col / math.sqrt(wk))
         for col, wk in zip(best_phi.T[order], weights[order])
     ]
-    return RoofResult(float(np.min(values)), weights[order], best_states, converged,
-                      values, evaluations)
+    return RoofResult(float(values[best]), weights[order], best_states,
+                      bool(np.sqrt(xi2[best]) <= cfg.tolerance), values, evaluations)
 
 
 def roof_estimate_normalized(rho: states.DensityMatrix, p: measures.ParamPair,

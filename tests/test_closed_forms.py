@@ -1,5 +1,8 @@
 """Tests for the exact isotropic/Werner curves, envelopes, and oracles."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,25 @@ class TestIsotropicCurve:
     def test_domain_enforced(self):
         with pytest.raises(RangeError):
             cf.isotropic_curve(0.2, 2, 2, 3)
+
+    @pytest.mark.parametrize("f, d, match", [
+        (-0.5, 3, "-0.5"), (1.5, 3, "1.5"), (np.array([0.5, np.nan]), 3, "nan"),
+        (0.5, 1, "d >= 2"), (0.5, 0, "d >= 2"),
+    ])
+    def test_gamma_delta_domain_enforced(self, f, d, match):
+        # These used to return NaN or divide by zero with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match=match):
+                cf.isotropic_gamma_delta(f, d)
+
+    def test_gamma_delta_accepts_reference_domain(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cf.isotropic_gamma_delta(0.0, 3) == pytest.approx(
+                (math.sqrt(2 / 3), -math.sqrt(1 / 6)), abs=1e-15)
+            assert cf.isotropic_gamma_delta(1.0 + 1e-13, 2) == pytest.approx(
+                (math.sqrt(0.5), math.sqrt(0.5)), abs=1e-12)
 
     @pytest.mark.parametrize("q,s,d", [(2, 2, 2), (2, 2, 3), (3, 2, 3), (2.5, 1, 4)])
     def test_monotone_increasing_on_entangled_region(self, q, s, d):
