@@ -3,7 +3,15 @@
 Eigen/singular spectra, Schatten and trace norms, and the tensor
 reshuffling primitives (partial trace, partial transpose, realignment)
 used by the detection criteria. All functions are pure and operate on
-plain ndarrays.
+plain ndarrays, and every one rejects a NaN or infinite entry with
+``NonFiniteInputError`` before any LAPACK call sees it.
+
+``trace_norm`` picks its kernel from the input: a square matrix that is
+exactly Hermitian (equal to its conjugate transpose bit for bit) takes
+sum |eigvalsh|, which is the trace norm of a Hermitian matrix and costs
+about half a complex SVD; every other matrix takes the sum of singular
+values. A matrix that is Hermitian only to within a tolerance still goes
+through the SVD, so no norm becomes approximate.
 
 Index conventions for a bipartite operator rho on dims (dA, dB):
 row = i*dB + j, column = k*dB + l, with i, k indexing subsystem A and
@@ -22,6 +30,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    NonFiniteInputError,
     NonHermitianError,
     NonSquareError,
     NotPSDError,
@@ -36,6 +45,8 @@ def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise NonSquareError(f"expected a 2-d array, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise NonFiniteInputError("matrix holds a NaN or infinite entry")
     return a
 
 
@@ -73,7 +84,18 @@ def singular_values(m) -> np.ndarray:
 
 
 def trace_norm(m) -> float:
-    """Trace norm ||M||_1 = sum of singular values."""
+    """Trace norm ||M||_1 = sum of singular values.
+
+    A square M with M == M† bit for bit has ||M||_1 = sum |lambda_i| over
+    its eigenvalues, taken from ``eigvalsh``; any other M goes through the
+    SVD. The partial transpose permutes entries, so that of an exactly
+    Hermitian rho is exactly Hermitian. The realignment of rho is
+    Hermitian when rho = F conj(rho) F with F the swap, which isotropic and
+    Werner states satisfy bit for bit.
+    """
+    m = _as_matrix(m)
+    if m.shape[0] == m.shape[1] and np.array_equal(m, m.conj().T):
+        return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
     return float(np.sum(singular_values(m)))
 
 

@@ -1,11 +1,15 @@
 """Tests for the dense matrix kernels and tensor reshuffles."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qsconc import linalg, states
 from qsconc.errors import (
     DimensionMismatchError,
+    NonFiniteInputError,
     NonHermitianError,
     NonSquareError,
     NotPSDError,
@@ -26,6 +30,36 @@ BELL_PT = np.array(
     ],
     dtype=complex,
 )
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _exact_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (a + a.conj().T) / 2
+    assert np.array_equal(h, h.conj().T)
+    return h
+
+
+def _svd_sum(m):
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        linalg.hermitian_eigenvalues,
+        linalg.singular_values,
+        linalg.trace_norm,
+        lambda m: linalg.schatten_norm(m, 2),
+    ],
+    ids=["hermitian_eigenvalues", "singular_values", "trace_norm", "schatten_norm"],
+)
+def test_non_finite_rejected(kernel, bad):
+    with pytest.raises(NonFiniteInputError):
+        kernel(np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex))
 
 
 class TestHermitianEigenvalues:
@@ -79,6 +113,28 @@ class TestSingularAndNorms:
         rho = states.isotropic(f, d)
         pt = linalg.partial_transpose(rho.matrix, (d, d))
         assert linalg.trace_norm(pt) == pytest.approx(d * f, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 32, 64])
+    def test_exact_hermitian_matches_singular_sum(self, n):
+        h = _exact_hermitian(n, seed=n)
+        assert abs(linalg.trace_norm(h) - _svd_sum(h)) <= 1e-12 * n
+
+    def test_exact_hermitian_skips_svd(self, monkeypatch):
+        h = _exact_hermitian(6, seed=1)
+        expected = _svd_sum(h)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called on an exactly Hermitian matrix")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert linalg.trace_norm(h) == pytest.approx(expected, abs=1e-12)
+
+    def test_nearly_hermitian_takes_svd(self):
+        h = _exact_hermitian(6, seed=2)
+        b = _exact_hermitian(6, seed=3)
+        m = h + 1e-10j * b  # i times a Hermitian matrix is anti-Hermitian
+        assert not np.array_equal(m, m.conj().T)
+        assert linalg.trace_norm(m) == _svd_sum(m)
 
     def test_trace_norm_dominates_trace(self):
         rng = np.random.default_rng(7)
@@ -180,6 +236,10 @@ class TestRealign:
         rho = states.random_mixed((2, 3), 2, seed=6).matrix
         assert linalg.realign(rho, (2, 3)).shape == (4, 9)
 
+    def test_non_square_trace_norm_takes_svd(self):
+        r = linalg.realign(states.random_mixed((2, 3), 2, seed=6).matrix, (2, 3))
+        assert linalg.trace_norm(r) == _svd_sum(r)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_pure_state_norm_identity(self, seed):
         # Both reshuffle norms of a pure state equal (sum sqrt(lambda))^2.
@@ -192,6 +252,28 @@ class TestRealign:
         )
         assert linalg.trace_norm(linalg.realign(rho, (3, 4))) == pytest.approx(
             expected, abs=1e-8
+        )
+
+    @pytest.mark.parametrize("w", [0.0, 0.3, 0.7, 1.0])
+    def test_werner_norms_match_closed_form(self, w, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        ppt, rea = importlib.import_module("workloads").werner_norms(w, 8)
+        rho = states.werner(w, 8).matrix
+        assert linalg.trace_norm(linalg.partial_transpose(rho, (8, 8))) == pytest.approx(
+            ppt, abs=1e-12
+        )
+        assert linalg.trace_norm(linalg.realign(rho, (8, 8))) == pytest.approx(
+            rea, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("f", [0.125, 0.4, 0.9, 1.0])
+    def test_isotropic_norms_are_dF(self, f):
+        rho = states.isotropic(f, 8).matrix
+        assert linalg.trace_norm(linalg.partial_transpose(rho, (8, 8))) == pytest.approx(
+            8 * f, abs=1e-12
+        )
+        assert linalg.trace_norm(linalg.realign(rho, (8, 8))) == pytest.approx(
+            8 * f, abs=1e-12
         )
 
     def test_singular_values_invariant_under_subsystem_swap(self):
