@@ -3,15 +3,14 @@
 For both families the measure is a convex envelope: zero up to the
 separability threshold, an analytic curve up to a breakpoint, then a
 straight tail to the maximally entangled endpoint. This script prints
-the piecewise data, compares the default (inflection) and true
-(tangent) envelope constructions, reproduces the published comparison
-curves, and writes sweep CSVs.
+the piecewise data, compares the default, published (inflection)
+envelope with the true convex envelope (tangent), which is the exact
+measure, reproduces the published comparison curves, and writes a sweep
+CSV through the CLI's closed-form command.
 """
 
 import os
 import tempfile
-
-import numpy as np
 
 from qsconc import (
     cqs_isotropic,
@@ -24,6 +23,7 @@ from qsconc import (
     werner_envelope,
     werner_curve,
 )
+from qsconc.cli import main as qsconc_cli
 
 print("== piecewise structure ==")
 for label, env in [
@@ -54,7 +54,7 @@ for f in (0.5, 0.7, 0.9):
 print()
 print("== comparison with published single-exponent curves ==")
 for f in (0.5, 0.7, 0.9, 1.0):
-    print(f"F={f:.2f}: C_(2,2) = {cqs_isotropic(f, 2, 2, 3):.6f} >= "
+    print(f"F={f:.2f}: published envelope C_(2,2) = {cqs_isotropic(f, 2, 2, 3):.6f} >= "
           f"C_2 = {reference_q_concurrence_isotropic(f):.6f}")
 
 
@@ -72,15 +72,14 @@ def crossover() -> float:
 print(f"werner: C_(3,2) dominates C_3^t up to w = {crossover():.4f}, then dips below")
 
 print()
-print("== CSV export (same columns as the CLI closed-form command) ==")
-fs = np.arange(0.34, 1.0001, 0.02)
-rows = [(f, isotropic_curve(f, 2, 2, 3) if f > 1 / 3 else 0.0,
-         cqs_isotropic(f, 2, 2, 3)) for f in fs]
+print("== CSV export through the CLI's closed-form command ==")
+argv = ["closed-form", "isotropic", "--q", "2", "--s", "2", "--d", "3",
+        "--sweep", "0.34:1.0:0.02"]
 with tempfile.TemporaryDirectory(prefix="qsconc-demo-") as tmp:
     path = os.path.join(tmp, "isotropic_d3_22.csv")
-    with open(path, "w") as fh:
-        fh.write("x,xi,envelope\n")
-        for r in rows:
-            fh.write(",".join(f"{v:.12g}" for v in r) + "\n")
-    print(f"wrote {path} with {len(rows)} rows, removed on exit "
-          f"(or run: qsconc closed-form isotropic --q 2 --s 2 --d 3 --sweep 0.34:1.0:0.002)")
+    if qsconc_cli([*argv, "--out", path]) != 0:
+        raise SystemExit("closed-form sweep failed")
+    with open(path) as fh:
+        rows = sum(1 for line in fh) - 2  # less the '#' comment and the header
+    print(f"wrote {path} with {rows} rows, removed on exit "
+          f"(or run: qsconc {' '.join(argv)})")

@@ -52,9 +52,10 @@ the norms are convex, so C(rho) >= co R_m(N(rho)/m) for every state
 isotropic envelope at d = m, so the bound covers every (q, s) of the
 closed forms (q > 1, q*s >= 1). ``bound_value_regime_a``,
 ``bound_value_auto``, ``bound_auto`` and the CLI keep the published
-formulas. ``bound_value_regime_a``, ``bound_value_regime_b`` and
-``bound_value_auto`` take a float or an array of norms, check it once and
-take powers through ``np.float_power`` (libm ``pow``, checked by a test).
+formulas. ``bound_value_regime_a``, ``bound_value_regime_b``,
+``bound_value_auto`` and ``bound_value_tight`` take a float or an array of
+norms, check it once and take powers through ``np.float_power`` (libm
+``pow``, checked by a test).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, linalg, states
-from .closed_forms import _float_if_0d, _pow
+from .closed_forms import _float_if_0d, _in_range, _pow
 from .errors import (
     DimensionMismatchError,
     NoApplicableBoundError,
@@ -173,16 +174,15 @@ def bound_value_regime_a(norm, m: int, p: ParamPair):
     return _float_if_0d(np.fmax(pref * (1.0 - _pow(1.0 - ratio, s)), 0.0))
 
 
-def bound_value_tight(norm: float, m: int, p: ParamPair) -> float:
+def bound_value_tight(norm, m: int, p: ParamPair):
     """co R_m(norm / m): the tightest lower bound a single norm allows.
 
     Sound for every state whose larger reshuffle norm is ``norm`` and
-    whose smaller dimension is m; 0 for norm <= 1. Raises ``RangeError``
-    for a norm outside [0, m] or m < 2, and ``ClosedFormWindowError``
-    outside q > 1, q*s >= 1.
+    whose smaller dimension is m; 0 for norm <= 1. ``norm`` may be an
+    array. Raises ``RangeError`` for a norm outside [0, m] or m < 2, and
+    ``ClosedFormWindowError`` outside q > 1, q*s >= 1.
     """
-    if not 0.0 <= norm <= m:
-        raise RangeError(f"norm {norm} outside [0, m] for m = {m}")
+    norm = _in_range(norm, 0.0, m, "norm", f"[0, m] for m = {m}")
     return closed_forms.isotropic_envelope(p.q, p.s, m, "tangent")(norm / m)
 
 

@@ -123,7 +123,6 @@ def cmd_closed_form(args, argv) -> int:
     if args.family == "isotropic":
         env = closed_forms.isotropic_envelope(q, s, d)
         m = d
-        curve = functools.partial(closed_forms.isotropic_curve, q=q, s=s, d=d)
         reference = (closed_forms.reference_q_concurrence_isotropic if d == 3
                      else lambda x: np.full_like(x, nan))
     else:
@@ -133,24 +132,24 @@ def cmd_closed_form(args, argv) -> int:
             raise RangeError(f"the Werner family is two-qubit: need --d 2, got {d}")
         env = closed_forms.werner_envelope(q, s)
         m = 2
-        curve = functools.partial(closed_forms.werner_curve, q=q, s=s)
         reference = closed_forms.reference_c3t_werner
     # The envelope call validated (q, s, d), and the sweep stays inside
     # [0, 1]: every point is in the curves' domains, and every norm
     # m * x <= m is in the bound's range.
     xs = parse_sweep(args.sweep)
     xs = np.minimum(xs[(xs >= 0.0) & (xs <= 1.0 + 1e-12)], 1.0)
-    # The sweep's envelope is the inflection one, which has no bridges: on
-    # (sep, breakpoint] it is the curve itself, beyond it the straight tail.
+    # The sweep's envelope is the published (inflection) one, which has no
+    # bridges: up to its knot it is the curve itself, 0 below the threshold.
     sep, knot = env.sep_threshold, env.breakpoint
 
     def rows():
         for start in range(0, xs.size, SWEEP_BLOCK):
             x = xs[start:start + SWEEP_BLOCK]
-            above = x > sep
+            above, beyond = x > sep, x > knot
             xi = np.zeros_like(x)
-            xi[above] = curve(x[above])
-            e = np.where(x > knot, env.tail(x), xi)
+            xi[above] = env.analytic(x[above])
+            e = xi.copy()
+            e[beyond] = env(x[beyond])
             try:
                 lb = bounds.bound_value_auto(m * x, m, p)
             except NoApplicableBoundError:
@@ -239,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qsconc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_qs(sp, q_required=True):
-        sp.add_argument("--q", type=float, required=q_required)
-        sp.add_argument("--s", type=float, required=q_required)
+    def add_qs(sp):
+        sp.add_argument("--q", type=float, required=True)
+        sp.add_argument("--s", type=float, required=True)
 
     sp = sub.add_parser("compute", help="measure of a state file")
     sp.add_argument("--state", required=True)

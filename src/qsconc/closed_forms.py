@@ -19,8 +19,11 @@ Two segment constructions are provided:
   convex hull); it starts lower and keeps the junctions kink-free.
 
 The inflection construction is NOT convex at the junction (the curve's
-slope there exceeds the chord slope), and on the segment it sits
-slightly above the tangent envelope. Both stay below the raw curve.
+slope there exceeds the chord slope), and on the segment it sits above
+the tangent envelope, which is the exact measure: by up to 0.0194 at
+(q, s) = (2, 2), d = 3 (F = 0.724), 0.0373 at d = 4, 0.0754 at d = 8, and
+0.0166 for Werner states at (3, 2) (w = 0.833). Both stay below the raw
+curve.
 """
 
 from __future__ import annotations
@@ -65,20 +68,26 @@ def _pow(a, e):
     return np.float_power(a, e)
 
 
-def _floats(x):
-    """``x`` as float64, a 0-d one as a numpy scalar, whose operators are cheap."""
-    return np.asarray(x, dtype=float)[()]
-
-
 def _float_if_0d(x):
     """A Python float for a 0-d numpy result, the array otherwise."""
     return float(x) if x.ndim == 0 else x
 
 
-def _first_outside(x, lo: float, hi: float):
-    """First entry of ``x`` outside [lo, hi], NaN included; None if there is none."""
+def _in_range(x, lo: float, hi: float, what: str, interval: str):
+    """``x`` as float64, a 0-d one as a numpy scalar, whose operators are cheap.
+
+    A ``RangeError`` "{what} {entry} outside {interval}" names the first
+    entry outside [lo, hi], NaN included. Strings, booleans and other
+    non-numbers raise ``RangeError`` too, rather than being converted.
+    """
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise RangeError(f"expected a real number or an array of them, got dtype {a.dtype}")
+    x = np.asarray(a, dtype=float)[()]
     outside = ~((lo <= x) & (x <= hi))
-    return x[outside][0] if np.count_nonzero(outside) else None
+    if np.count_nonzero(outside):
+        raise RangeError(f"{what} {x[outside][0]} outside {interval}")
+    return x
 
 
 def isotropic_gamma_delta(f, d: int):
@@ -88,11 +97,7 @@ def isotropic_gamma_delta(f, d: int):
     """
     if d < 2:
         raise RangeError(f"need d >= 2, got {d}")
-    f = _floats(f)
-    bad = _first_outside(f, 0.0, 1.0 + 1e-12)
-    if bad is not None:
-        raise RangeError(f"fidelity {bad} outside [0, 1]")
-    return _gamma_delta(f, d)
+    return _gamma_delta(_in_range(f, 0.0, 1.0 + 1e-12, "fidelity", "[0, 1]"), d)
 
 
 def _gamma_delta(f, d: int):
@@ -112,10 +117,7 @@ def isotropic_curve(f, q: float, s: float, d: int):
     _require_closed_form_params(q, s)
     if d < 2:
         raise RangeError(f"need d >= 2, got {d}")
-    f = _floats(f)
-    bad = _first_outside(f, 1.0 / d - 1e-12, 1.0 + 1e-12)
-    if bad is not None:
-        raise RangeError(f"fidelity {bad} outside [1/{d}, 1]")
+    f = _in_range(f, 1.0 / d - 1e-12, 1.0 + 1e-12, "fidelity", f"[1/{d}, 1]")
     gamma, delta = _gamma_delta(np.minimum(np.maximum(f, 1.0 / d), 1.0), d)
     t = _pow(gamma, 2 * q) + (d - 1) * _pow(np.fmax(delta, 0.0), 2 * q)
     return _float_if_0d(1.0 - _pow(t, s))
@@ -129,10 +131,7 @@ def werner_curve(w, q: float, s: float):
     no d argument is needed. ``w`` may be an array.
     """
     _require_closed_form_params(q, s)
-    w = _floats(w)
-    bad = _first_outside(w, 0.5 - 1e-12, 1.0 + 1e-12)
-    if bad is not None:
-        raise RangeError(f"w = {bad} outside [1/2, 1]")
+    w = _in_range(w, 0.5 - 1e-12, 1.0 + 1e-12, "w =", "[1/2, 1]")
     w = np.minimum(np.maximum(w, 0.5), 1.0)
     g = 2.0 * np.sqrt(w * (1.0 - w))
     t = _pow((1.0 + g) / 2.0, q) + _pow((1.0 - g) / 2.0, q)
@@ -263,34 +262,33 @@ class EnvelopeCurve:
     breakpoint: float
     slope: float
     intercept: float
-    analytic: Callable[[float], float]
+    analytic: Callable
     right: float = 1.0
     bridges: tuple[tuple[float, float], ...] = ()
 
-    def __call__(self, x: float) -> float:
-        if not 0.0 <= x <= self.right + 1e-12:
-            raise RangeError(f"x = {x} outside [0, {self.right}]")
-        if x <= self.sep_threshold:
-            return 0.0
-        if x <= self.breakpoint:
+    def __call__(self, x):
+        """The envelope at ``x`` in [0, right] (a float or an array)."""
+        x = _in_range(x, 0.0, self.right + 1e-12, "x =", f"[0, {self.right}]")
+        x = np.minimum(x, self.right)
+        tail = x > self.breakpoint
+        y = np.where(tail, self.slope * x + self.intercept, 0.0)
+        on_curve = (self.sep_threshold < x) & ~tail
+        if np.count_nonzero(on_curve):
+            y[on_curve] = self.analytic(x[on_curve])
             for x0, x1 in self.bridges:
-                if x0 < x < x1:
-                    f0 = self.analytic(x0)
-                    return f0 + (self.analytic(x1) - f0) * (x - x0) / (x1 - x0)
-            return self.analytic(x)
-        return float(self.tail(x))
-
-    def tail(self, x):
-        """The straight segment right of the breakpoint; ``x`` may be an array."""
-        return self.slope * np.minimum(x, self.right) + self.intercept
+                chord = on_curve & (x0 < x) & (x < x1)
+                f0 = self.analytic(x0)
+                y[chord] = f0 + (self.analytic(x1) - f0) * (x[chord] - x0) / (x1 - x0)
+        return _float_if_0d(y)
 
 
 def build_envelope(curve: Callable, domain: tuple[float, float],
-                   sep_threshold: float, method: str = "inflection") -> EnvelopeCurve:
+                   method: str = "inflection") -> EnvelopeCurve:
     """Complete a losing-convexity curve with a straight tail segment.
 
-    The tangent method also bridges any interior stretch where the curve
-    is not convex. ``curve`` must accept arrays as well as scalars: the
+    The curve is 0 up to ``domain[0]``, the separability threshold. The
+    tangent method also bridges any interior stretch where the curve is
+    not convex. ``curve`` must accept arrays as well as scalars: the
     scans evaluate their whole grid in one call.
     """
     a, b = domain
@@ -302,14 +300,10 @@ def build_envelope(curve: Callable, domain: tuple[float, float],
         bridges = tuple(chords)
     else:
         raise RangeError(f"unknown envelope method {method!r}")
-    if knot >= b:
-        step = SECOND_DIFF_STEP
-        slope = (curve(b) - curve(b - step)) / step
-        return EnvelopeCurve(sep_threshold, b, slope, curve(b) - slope * b, curve, b,
-                             bridges)
-    slope = (curve(b) - curve(knot)) / (b - knot)
-    intercept = curve(b) - slope * b
-    return EnvelopeCurve(sep_threshold, knot, slope, intercept, curve, b, bridges)
+    # A convex curve (knot == b) continues with its slope over the last step.
+    x0, run = (b - SECOND_DIFF_STEP, SECOND_DIFF_STEP) if knot >= b else (knot, b - knot)
+    slope = (curve(b) - curve(x0)) / run
+    return EnvelopeCurve(a, knot, slope, curve(b) - slope * b, curve, b, bridges)
 
 
 def isotropic_envelope(q: float, s: float, d: int,
@@ -334,7 +328,7 @@ def _isotropic_envelope(q: float, s: float, d: int, method: str) -> EnvelopeCurv
     def curve(f: float) -> float:
         return isotropic_curve(f, q, s, d)
 
-    return build_envelope(curve, (1.0 / d, 1.0), 1.0 / d, method)
+    return build_envelope(curve, (1.0 / d, 1.0), method)
 
 
 @lru_cache(maxsize=128)
@@ -344,26 +338,21 @@ def _werner_envelope(q: float, s: float, method: str) -> EnvelopeCurve:
     def curve(w: float) -> float:
         return werner_curve(w, q, s)
 
-    return build_envelope(curve, (0.5, 1.0), 0.5, method)
+    return build_envelope(curve, (0.5, 1.0), method)
 
 
 isotropic_envelope.cache_clear = _isotropic_envelope.cache_clear
 werner_envelope.cache_clear = _werner_envelope.cache_clear
 
 
-def cqs_isotropic(f: float, q: float, s: float, d: int,
-                  method: str = "inflection") -> float:
-    """Measure of the isotropic state at fidelity f, full domain [0, 1]."""
-    if not 0.0 <= f <= 1.0 + 1e-12:
-        raise RangeError(f"fidelity {f} outside [0, 1]")
-    return isotropic_envelope(q, s, d, method)(min(f, 1.0))
+def cqs_isotropic(f, q: float, s: float, d: int, method: str = "inflection"):
+    """Measure of the isotropic state at fidelity f in [0, 1] (a float or an array)."""
+    return isotropic_envelope(q, s, d, method)(f)
 
 
-def cqs_werner(w: float, q: float, s: float, method: str = "inflection") -> float:
-    """Measure of the Werner state at weight w, full domain [0, 1]."""
-    if not 0.0 <= w <= 1.0 + 1e-12:
-        raise RangeError(f"w = {w} outside [0, 1]")
-    return werner_envelope(q, s, method)(min(w, 1.0))
+def cqs_werner(w, q: float, s: float, method: str = "inflection"):
+    """Measure of the Werner state at weight w in [0, 1] (a float or an array)."""
+    return werner_envelope(q, s, method)(w)
 
 
 @dataclass(frozen=True)
@@ -418,17 +407,12 @@ def isotropic_extremum_oracle(f: float, q: float, s: float, d: int) -> Isotropic
     return best
 
 
-def reference_q_concurrence_isotropic(f, d: int = 3):
+def reference_q_concurrence_isotropic(f):
     """Published single-exponent (q=2) concurrence curve for isotropic states, d=3.
 
     ``f`` may be an array over [0, 1]; the curve is 0 up to f = 1/3.
     """
-    if d != 3:
-        raise RangeError("reference curve is tabulated for d = 3 only")
-    f = _floats(f)
-    bad = _first_outside(f, 0.0, 1.0 + 1e-12)
-    if bad is not None:
-        raise RangeError(f"fidelity {bad} outside [0, 1]")
+    f = _in_range(f, 0.0, 1.0 + 1e-12, "fidelity", "[0, 1]")
     gamma, delta = _gamma_delta(f, 3)
     value = np.where(f <= 8.0 / 9.0, 1.0 - _pow(gamma, 4) - 2.0 * _pow(delta, 4),
                      1.5 * f - 5.0 / 6.0)
@@ -440,8 +424,5 @@ def reference_c3t_werner(w):
 
     ``w`` may be an array over [0, 1]; the curve is 0 up to w = 1/2.
     """
-    w = _floats(w)
-    bad = _first_outside(w, 0.0, 1.0 + 1e-12)
-    if bad is not None:
-        raise RangeError(f"w = {bad} outside [0, 1]")
+    w = _in_range(w, 0.0, 1.0 + 1e-12, "w =", "[0, 1]")
     return _float_if_0d(_pow(np.fmax(2.0 * w - 1.0, 0.0), 2))

@@ -31,6 +31,8 @@ from .errors import (
 )
 from .measures import ParamPair, Regime
 
+POLYGON_TOL = 1e-9  # slack on each polygon inequality, for round-off
+
 
 @dataclass(frozen=True)
 class PolygonReport:
@@ -65,7 +67,7 @@ def marginal_cqs(psi: states.PureState, j: int, p: ParamPair) -> float:
     return measures.unified_functional(rho_j, p)
 
 
-def polygon_check(psi: states.PureState, p: ParamPair, tol: float = 1e-9) -> PolygonReport:
+def polygon_check(psi: states.PureState, p: ParamPair) -> PolygonReport:
     """Verify every one-to-rest marginal against the sum of the others."""
     _require_regime_a(p)
     n = psi.n_parties
@@ -73,12 +75,11 @@ def polygon_check(psi: states.PureState, p: ParamPair, tol: float = 1e-9) -> Pol
         raise BadPartitionError(f"polygon check needs n >= 3 parties, got {n}")
     marg = [marginal_cqs(psi, j, p) for j in range(n)]
     total = sum(marg)
-    violations = [j for j in range(n) if marg[j] > total - marg[j] + tol]
+    violations = [j for j in range(n) if marg[j] > total - marg[j] + POLYGON_TOL]
     return PolygonReport(marg, violations)
 
 
-def polygon_group_check(psi: states.PureState, group, p: ParamPair,
-                        tol: float = 1e-9) -> PolygonReport:
+def polygon_group_check(psi: states.PureState, group, p: ParamPair) -> PolygonReport:
     """Verify the block measure across group|rest against the block marginals.
 
     ``group`` lists the subsystem indices forming the first block; the
@@ -96,7 +97,7 @@ def polygon_group_check(psi: states.PureState, group, p: ParamPair,
         raise BadPartitionError("group must leave at least one subsystem outside")
     lhs = measures.unified_functional(states.reduced_state(psi, group), p)
     parts = [marginal_cqs(psi, i, p) for i in group]
-    violations = [0] if lhs > sum(parts) + tol else []
+    violations = [0] if lhs > sum(parts) + POLYGON_TOL else []
     return PolygonReport([lhs] + parts, violations)
 
 

@@ -56,7 +56,7 @@ def hermitianize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def hermitian_eigenvalues(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     Magnitudes below 1e-10 are clamped to exactly 0 so that later powers
@@ -70,8 +70,8 @@ def hermitian_eigenvalues(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
     asym = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if asym > tol:
-        raise NonHermitianError(f"max |M - M†| = {asym:.3e} exceeds {tol:.1e}")
+    if asym > HERMITIAN_TOL:
+        raise NonHermitianError(f"max |M - M†| = {asym:.3e} exceeds {HERMITIAN_TOL:.1e}")
     w = np.linalg.eigvalsh(hermitianize(m))
     w = w[::-1].copy()
     w[np.abs(w) < EIGENVALUE_CLAMP] = 0.0

@@ -114,7 +114,7 @@ class SchmidtSpectrum:
     """Nonincreasing probability vector of squared Schmidt coefficients."""
 
     values: np.ndarray
-    rank: int = field(default=0)
+    rank: int = field(init=False)
 
     def __post_init__(self):
         v = np.sort(np.asarray(self.values, dtype=float))[::-1].copy()

@@ -374,10 +374,10 @@ def test_criterion_11_polygon():
         dims = tuple(int(d) for d in rng.integers(2, 5, size=n))
         psi = states.haar_random_pure(dims, seed=seed)
         for p in pairs:
-            violations += len(inequalities.polygon_check(psi, p, tol=1e-9).violations)
+            violations += len(inequalities.polygon_check(psi, p).violations)
         if n == 4:
             for g in ([0, 1], [0, 2], [0, 3]):
-                rep = inequalities.polygon_group_check(psi, g, pairs[1], tol=1e-9)
+                rep = inequalities.polygon_group_check(psi, g, pairs[1])
                 group_violations += len(rep.violations)
     ok = violations == 0 and group_violations == 0
     _report(

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsconc import bounds, closed_forms as cf, measures, states
 from qsconc.errors import (
@@ -336,6 +338,21 @@ class TestTightBound:
                 lb = bounds.bound_value_tight(norm, min(dims), p)
                 exact = measures.cqs_from_spectrum(spectrum, p).value
                 assert lb <= exact + 1e-9, (p, seed)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(m=st.sampled_from([2, 3, 4]), q=st.floats(1.1, 6.0),
+           s_over_min=st.floats(1.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_below_pure_measure_on_random_spectra(self, m, q, s_over_min, seed):
+        # (q, s) inside the closed-form window q > 1, q*s >= 1. Each example
+        # bounds 16 random Schmidt spectra of rank <= m, plus a product and a
+        # maximally entangled one, in one array call.
+        p = measures.classify(q, s_over_min / q)
+        spectra = np.vstack([np.random.default_rng(seed).dirichlet(np.full(m, 0.5), 16),
+                             np.eye(m)[0], np.full(m, 1.0 / m)])
+        norms = np.array([bounds.pure_state_norm(lam) for lam in spectra])
+        lower = bounds.bound_value_tight(np.minimum(norms, m), m, p)
+        exact = np.array([measures.cqs_from_spectrum(lam, p).value for lam in spectra])
+        assert (lower <= exact + 1e-9).all(), (lower - exact).max()
 
     def test_norm_outside_range_is_range_error(self):
         p = measures.classify(2, 1.5)

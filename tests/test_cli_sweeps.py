@@ -28,7 +28,7 @@ def oracle_csv(argv, family, q, s, d, sweep):
         if iso:
             xi = cf.isotropic_curve(x, q, s, d) if x > 1.0 / d else 0.0
             norm, m = d * x, d
-            ref = cf.reference_q_concurrence_isotropic(x, 3) if d == 3 else math.nan
+            ref = cf.reference_q_concurrence_isotropic(x) if d == 3 else math.nan
         else:
             xi = cf.werner_curve(x, q, s) if x > 0.5 else 0.0
             norm, m = 2.0 * x, 2

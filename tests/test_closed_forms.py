@@ -1,6 +1,7 @@
 """Tests for the exact isotropic/Werner curves, envelopes, and oracles."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -269,7 +270,7 @@ class TestEnvelope:
         build = cf.build_envelope
 
         def counting(*args, **kwargs):
-            builds.append(args[3] if len(args) > 3 else kwargs.get("method"))
+            builds.append(args[2] if len(args) > 2 else kwargs.get("method"))
             return build(*args, **kwargs)
 
         monkeypatch.setattr(cf, "build_envelope", counting)
@@ -508,7 +509,75 @@ class TestArrayEvaluation:
         _assert_same_bits(cf.second_difference(env.analytic, x),
                           _per_point(lambda v: cf.second_difference(env.analytic, v), x))
         tail = np.linspace(env.breakpoint, 1.0, 50)[1:]
-        _assert_same_bits(env.tail(tail), _per_point(env, tail))
+        _assert_same_bits(env(tail), _per_point(env, tail))
+
+    ENVELOPES = [(cf.isotropic_envelope, (*t, method)) for t in TRIPLES
+                 for method in ("inflection", "tangent")] + [
+        (cf.werner_envelope, (q, s, method)) for q, s in [(3, 2), (2, 1), (10, 0.2)]
+        for method in ("inflection", "tangent")]
+
+    @staticmethod
+    def _envelope_points(env):
+        """Random points plus 0, the threshold, the knot, the bridge ends, 1 and
+        1 + 5e-13, each with both float neighbours inside [0, 1 + 1e-12]."""
+        marks = [0.0, env.sep_threshold, env.breakpoint, 1.0, 1.0 + 5e-13,
+                 *(end for bridge in env.bridges for end in bridge)]
+        x = np.append(np.random.default_rng(0).uniform(0.0, 1.0, 400), marks)
+        return np.concatenate([x, np.fmax(np.nextafter(x, -1.0), 0.0),
+                               np.fmin(np.nextafter(x, 2.0), 1.0 + 1e-12)])
+
+    @pytest.mark.parametrize("make,args", ENVELOPES,
+                             ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple)
+                             else v.__name__)
+    def test_envelope_and_measure(self, make, args):
+        env = make(*args)
+        cqs = cf.cqs_isotropic if make is cf.isotropic_envelope else cf.cqs_werner
+        x = self._envelope_points(env)
+        _assert_same_bits(env(x), _per_point(env, x))
+        _assert_same_bits(cqs(x, *args), _per_point(lambda v: cqs(v, *args), x))
+        _assert_same_bits(cqs(x.reshape(3, -1), *args), cqs(x, *args).reshape(3, -1))
+        assert (env(x)[x <= env.sep_threshold] == 0.0).all()
+
+    def test_bridged_envelope_takes_its_chord(self):
+        env = cf.isotropic_envelope(10, 0.2, 8, "tangent")
+        (x0, x1), = env.bridges
+        x = np.linspace(x0, x1, 101)[1:-1]
+        f0, f1 = env.analytic(x0), env.analytic(x1)
+        _assert_same_bits(env(x), f0 + (f1 - f0) * (x - x0) / (x1 - x0))
+        assert (env(x) < env.analytic(x)).all()
+
+    @pytest.mark.parametrize("q,s,d", TRIPLES)
+    def test_bound_value_tight(self, q, s, d):
+        p = measures.classify(q, s)
+        env = cf.isotropic_envelope(q, s, d, "tangent")
+        norm = np.minimum(d * self._envelope_points(env), d)
+        _assert_same_bits(bounds.bound_value_tight(norm, d, p),
+                          _per_point(lambda n: bounds.bound_value_tight(n, d, p), norm))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_bad_entry_is_named(self, bad):
+        # The third entry is the first outside the domain; 2.0 comes after it.
+        x = np.array([0.5, 0.9, bad, 2.0])
+        p = measures.classify(2, 2)
+        for call, message in [
+            (lambda: cf.isotropic_envelope(2, 2, 3)(x), f"x = {bad} outside"),
+            (lambda: cf.isotropic_envelope(10, 0.2, 8, "tangent")(x), f"x = {bad} outside"),
+            (lambda: cf.cqs_isotropic(x, 2, 2, 3), f"x = {bad} outside"),
+            (lambda: cf.cqs_werner(x, 3, 2, "tangent"), f"x = {bad} outside"),
+            (lambda: bounds.bound_value_tight(3 * x, 3, p), f"norm {3 * bad} outside"),
+        ]:
+            with pytest.raises(RangeError, match=re.escape(message)):
+                call()
+
+    @pytest.mark.parametrize("bad", ["0.7", True, None, 0.5j, [0.5, "0.7"], [0.5, None]],
+                             ids=["str", "bool", "none", "complex", "str-entry", "none-entry"])
+    def test_non_numbers_are_range_errors(self, bad):
+        p = measures.classify(2, 2)
+        for fn in (lambda v: cf.isotropic_curve(v, 2, 2, 3), lambda v: cf.werner_curve(v, 3, 2),
+                   cf.isotropic_envelope(2, 2, 3), lambda v: cf.cqs_werner(v, 3, 2),
+                   cf.reference_c3t_werner, lambda v: bounds.bound_value_tight(v, 3, p)):
+            with pytest.raises(RangeError, match="expected a real number"):
+                fn(bad)
 
     def test_scalar_calls_return_python_floats(self):
         p22, p55 = measures.classify(2, 2), measures.classify(0.5, 0.5)
@@ -530,6 +599,13 @@ class TestArrayEvaluation:
             cf.reference_c3t_werner(np.asarray(0.7)),
             bounds.bound_value_regime_a(np.asarray(2.5), 3, p22),
             bounds.bound_value_regime_b(np.asarray(2.5), 3, p55),
+            cf.isotropic_envelope(2, 2, 3)(np.asarray(0.5)),
+            cf.isotropic_envelope(2, 2, 3)(np.asarray(0.2)),
+            cf.isotropic_envelope(2, 2, 3)(np.asarray(0.9)),
+            cf.cqs_isotropic(np.asarray(0.5), 2, 2, 3), cf.cqs_werner(np.asarray(0.9), 3, 2),
+            cf.cqs_isotropic(np.float64(0.5), 2, 2, 3, "tangent"),
+            bounds.bound_value_tight(np.asarray(2.5), 3, p22),
+            bounds.bound_value_tight(np.asarray(0.5), 3, p22),
         ]
         assert [type(v) for v in values] == [float] * len(values)
 

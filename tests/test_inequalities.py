@@ -81,7 +81,7 @@ class TestPolygon:
             dims = tuple(int(d) for d in rng.integers(2, 5, size=n))
             psi = states.haar_random_pure(dims, seed=seed)
             for p in pairs:
-                assert inequalities.polygon_check(psi, p, tol=1e-9).ok
+                assert inequalities.polygon_check(psi, p).ok
 
     def test_needs_three_parties(self):
         with pytest.raises(BadPartitionError):
@@ -111,7 +111,7 @@ class TestPolygonGroups:
             dims = [(2, 2, 2, 2), (2, 3, 2, 2), (3, 2, 2, 3)][seed % 3]
             psi = states.haar_random_pure(dims, seed=seed)
             for g in splits:
-                assert inequalities.polygon_group_check(psi, g, p, tol=1e-9).ok
+                assert inequalities.polygon_group_check(psi, g, p).ok
 
     def test_bad_groups(self):
         psi = states.haar_random_pure((2, 2, 2), seed=0)

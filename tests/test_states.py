@@ -45,6 +45,11 @@ class TestSchmidt:
         b = states.schmidt(psi, 1).values
         assert np.allclose(a[: b.size], b, atol=1e-10)
 
+    def test_rank_is_not_an_argument(self):
+        assert states.SchmidtSpectrum([0.5, 0.5]).rank == 2
+        with pytest.raises(TypeError):
+            states.SchmidtSpectrum([0.5, 0.5], rank=7)
+
     def test_invalid_split(self):
         psi = states.haar_random_pure((2, 2), seed=0)
         with pytest.raises(NotBipartiteError):
