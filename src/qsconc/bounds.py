@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, linalg, states
-from .closed_forms import _float_if_0d, _in_range, _pow
+from .closed_forms import _float_if_0d, _in_range, _pow, _real
 from .errors import (
     DimensionMismatchError,
     NoApplicableBoundError,
@@ -156,10 +156,12 @@ def bound_value_regime_a(norm, m: int, p: ParamPair):
     about [2.2, 2.75] with s in [1, 1.5] (by 4.5e-3 at (2.5, 1), pinned in
     ``tests/test_bounds.py``). For mixed states at s > 1 it also fails
     wherever g is not convex on [1, m]. ``bound_value_tight`` is sound.
-    Raises ``RangeError`` for m < 2 and for a norm above
-    1 + sqrt(m(m-1)), where g is undefined. ``norm`` may be an array.
+    Raises ``RangeError`` for m < 2, for a norm above 1 + sqrt(m(m-1)),
+    where g is undefined, and for a string, boolean or other non-number
+    norm. ``norm`` may be an array.
     """
     _require_regime_a(m, p)
+    norm = _real(norm)
     # g is exactly 0 at norm 1, so smaller norms are lifted to 1. A norm
     # whose square overflows gets ratio inf and fails the range check below.
     with np.errstate(over="ignore"):
@@ -209,9 +211,11 @@ def bound_value_regime_b(norm, m: int, p: ParamPair):
     exceeds the measure of some two-qubit states at (0.8, 0.5) and
     (0.9, 0.9); for mixed states it exceeds the measure of isotropic
     states at interior fidelities, at every window pair checked. Both
-    are pinned in ``tests/test_bounds.py``. ``norm`` may be an array.
+    are pinned in ``tests/test_bounds.py``. ``norm`` may be an array; a
+    string, boolean or other non-number raises ``RangeError``.
     """
     _require_regime_b(m, p)
+    norm = _real(norm)
     q, s = p.q, p.s
     pref = (float(m) ** (s * (1.0 - q)) - 1.0) / (float(m) ** s - 1.0)
     # The bound is exactly 0 at norm 1, so smaller norms are lifted to 1.

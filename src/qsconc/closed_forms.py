@@ -73,17 +73,25 @@ def _float_if_0d(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _in_range(x, lo: float, hi: float, what: str, interval: str):
+def _real(x):
     """``x`` as float64, a 0-d one as a numpy scalar, whose operators are cheap.
 
-    A ``RangeError`` "{what} {entry} outside {interval}" names the first
-    entry outside [lo, hi], NaN included. Strings, booleans and other
-    non-numbers raise ``RangeError`` too, rather than being converted.
+    Strings, booleans and other non-numbers raise ``RangeError`` rather
+    than being converted.
     """
     a = np.asarray(x)
     if a.dtype.kind not in "iuf":
         raise RangeError(f"expected a real number or an array of them, got dtype {a.dtype}")
-    x = np.asarray(a, dtype=float)[()]
+    return np.asarray(a, dtype=float)[()]
+
+
+def _in_range(x, lo: float, hi: float, what: str, interval: str):
+    """``_real(x)``, range-checked.
+
+    A ``RangeError`` "{what} {entry} outside {interval}" names the first
+    entry outside [lo, hi], NaN included.
+    """
+    x = _real(x)
     outside = ~((lo <= x) & (x <= hi))
     if np.count_nonzero(outside):
         raise RangeError(f"{what} {x[outside][0]} outside {interval}")

@@ -20,11 +20,14 @@ restarts advance together in batched numpy calls.
   the last one ended.
 
 Each round scores a term from the spectrum of its block's Gram matrix on
-the smaller side, one small Hermitian eigh per block. Those eigenvalues
-carry an absolute error of about 1e-16 times the term's weight, which
-moves the unsmoothed regime-B measure at small q, so the returned values
-are not the search's own: one batched SVD of every restart's last
-isometry scores it exactly, and the best restart is chosen on that score.
+the smaller side. When that side is 2 (a qubit on either party) the two
+eigenvalues and the gradient come in closed form from ufunc arithmetic,
+with no LAPACK call; otherwise from one small Hermitian eigh per block.
+Either way the eigenvalues carry an absolute error of about 1e-16 times
+the term's weight, which moves the unsmoothed regime-B measure at small
+q, so the returned values are not the search's own: one batched SVD of
+every restart's last isometry scores it exactly, and the best restart is
+chosen on that score.
 
 ``decomposition_length`` is capped at side**2 (enough for an optimal
 decomposition) and ``restarts`` at ``MAX_RESTARTS``, which bounds every
@@ -57,6 +60,7 @@ ARMIJO = 1e-4  # sufficient-decrease constant of the gradient search
 MIN_DECREASE = 1e-14  # a restart stops once an accepted step gains less
 MIN_STEP = 1e-12  # ... or once backtracking shrinks the step below this
 BB_CLIP = (1e-10, 1e4)  # bounds on the Barzilai-Borwein trial step
+_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,9 @@ def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
     """Objective of each isometry in a stack u, and its gradient dh/dU*.
 
     Term k is the da x db block M of phi = a0 U^T. Its spectrum lambda
-    (ascending) and eigenvectors V come from one Hermitian eigh of the
-    Gram matrix on its smaller side, M M† when da <= db, else the same on
-    M^T, so lambda has min(da, db) entries. With p = sum lambda and
+    (ascending) and eigenvectors V are those of the Gram matrix G on its
+    smaller side, M M† when da <= db, else the same on M^T, so lambda has
+    min(da, db) entries. With p = sum lambda and
     t = sum (lambda/p)**q, the term's measure is p*eps*(1 - t**s), and
     its Wirtinger gradient is eps*[(1 - (1-qs) t**s) M - V diag(w) V† M]
     with w = qs t**(s-1) p**(1-q) lambda**(q-1); as V is unitary, both
@@ -131,10 +135,19 @@ def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
     r = lambda/lambda_max, tau = sum r**q and t = x0**q tau, which keeps
     every power in [0, 1] for q >= 1.
 
-    Gram eigenvalues carry an absolute error of about 1e-16 p, so a value
-    here can be off where the measure is steep at a zero Schmidt value
-    (q < 1 without a floor); ``roof_estimate`` rescores the search's
-    results from singular values with ``_measure``.
+    When min(da, db) is 2 (2 x 2 up to 2 x 8 and 8 x 2 blocks), G is
+    mid I + K with K = [[h, g01], [g01*, -h]] traceless, so
+    lambda = mid -+ rad with rad = hypot(h, |g01|), and
+    V diag(d-, d+) V† M = alpha M + beta K M with alpha = (d- + d+)/2 and
+    beta = (d+ - d-)/(2 rad), or 0 where rad = 0 (then K = 0). K is
+    formed from G's entries, never as G - mid I, so nearly degenerate
+    blocks lose nothing to cancellation. Larger blocks take one Hermitian
+    eigh of G.
+
+    Either way the eigenvalues carry an absolute error of about 1e-16 p,
+    so a value here can be off where the measure is steep at a zero
+    Schmidt value (q < 1 without a floor); ``roof_estimate`` rescores the
+    search's results from singular values with ``_measure``.
 
     A per-isometry ``floor`` c smooths the measure: each spectrum of k
     values becomes (lambda + c p)/(1 + k c), which keeps p, and w mixes
@@ -145,7 +158,15 @@ def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
     n, length, rank = u.shape
     blocks = _blocks(u, a0, da, db)
     m = blocks if da <= db else blocks.swapaxes(-1, -2)
-    lam, vec = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
+    qubit = m.shape[-2] == 2
+    if qubit:
+        g = np.einsum("...ij,...kj->...ik", m, m.conj())
+        g00, g11, g01 = g[..., 0, 0].real, g[..., 1, 1].real, g[..., 0, 1]
+        mid, h = (g00 + g11) / 2, (g00 - g11) / 2
+        rad = np.hypot(h, np.abs(g01))
+        lam = mid[..., None] - rad[..., None] * _SIGNS
+    else:
+        lam, vec = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
     lam = np.fmax(lam, 0.0)
     p = lam.sum(axis=-1)
     live = p >= WEIGHT_FLOOR
@@ -168,7 +189,18 @@ def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
         w = coef[..., None] * np.power(r, q - 1, out=np.zeros_like(r), where=r > 0)
         w = (w + c * w.sum(axis=-1, keepdims=True)) / mix
     lin_w = np.where(live[..., None], (1.0 - (1.0 - q * s) * ts)[..., None] - w, 0.0)
-    grad = (vec * lin_w[..., None, :]) @ (vec.conj().swapaxes(-1, -2) @ m)
+    if qubit:
+        # (alpha I + beta K) M row by row: row i of M times alpha +- beta h,
+        # plus the other row times beta g01 or its conjugate.
+        lo, hi = lin_w[..., 0], lin_w[..., 1]
+        alpha = (lo + hi) / 2
+        beta = np.divide(hi - lo, 2 * rad, out=np.zeros_like(rad), where=rad > 0)
+        bg = (beta * g01)[..., None]
+        grad = (alpha[..., None] + (beta * h)[..., None] * _SIGNS)[..., None] * m
+        grad[..., 0, :] += bg * m[..., 1, :]
+        grad[..., 1, :] += bg.conj() * m[..., 0, :]
+    else:
+        grad = (vec * lin_w[..., None, :]) @ (vec.conj().swapaxes(-1, -2) @ m)
     if da > db:
         grad = grad.swapaxes(-1, -2)
     return value, grad.reshape(n, length, da * db) @ (eps * a0.conj())

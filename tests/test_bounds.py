@@ -121,6 +121,19 @@ def test_m_one_is_range_error(bound, q, s):
             bound(norm, 1, measures.classify(q, s))
 
 
+@pytest.mark.parametrize("bound,q,s", [
+    (bounds.bound_value_regime_a, 2, 2), (bounds.bound_value_regime_b, 0.5, 0.5),
+    (bounds.bound_value_auto, 2, 2), (bounds.bound_value_auto, 0.5, 0.5),
+], ids=["regime_a", "regime_b", "auto-a", "auto-b"])
+@pytest.mark.parametrize("norm", ["2.5", True, None, np.array([True])],
+                         ids=["str", "bool", "none", "bool-array"])
+def test_non_number_norm_is_range_error(bound, q, s, norm):
+    # True used to read as the norm 1, "2.5" raised numpy's UFuncTypeError
+    # and None a bare TypeError.
+    with pytest.raises(RangeError, match="expected a real number"):
+        bound(norm, 2, measures.classify(q, s))
+
+
 class TestRegimeBBound:
     def test_window(self):
         assert bounds.in_regime_b_window(measures.classify(0.5, 0.5))
