@@ -11,7 +11,6 @@ import numpy as np
 from qsconc import (
     classify,
     concurrence_pure,
-    cqs_from_spectrum,
     cqs_pure,
     haar_random_pure,
     max_entangled,
@@ -29,7 +28,7 @@ skewed = PureState((2, 2), np.sqrt([0.9, 0, 0, 0.1]).astype(complex))
 print("== values across (q, s) pairs ==")
 for q, s in [(2, 1), (2, 2), (3, 2), (0.5, 1), (0.5, 0.5)]:
     p = classify(q, s)
-    row = [f"{cqs_pure(psi, p).value:.6f}" for psi in (bell, product, skewed)]
+    row = [f"{cqs_pure(psi, p):.6f}" for psi in (bell, product, skewed)]
     print(f"(q={q}, s={s}, regime {p.regime.value}, eps {p.epsilon:+d}): "
           f"bell={row[0]} product={row[1]} skewed={row[2]}")
 
@@ -38,9 +37,9 @@ print("== special cases ==")
 p21 = classify(2, 1)
 c = concurrence_pure(skewed)
 print(f"concurrence(skewed) = {c:.6f}; C_(2,1) = C^2/2 = {c * c / 2:.6f} "
-      f"= {cqs_pure(skewed, p21).value:.6f}")
+      f"= {cqs_pure(skewed, p21):.6f}")
 print(f"normalized measure of a Bell pair is 1: "
-      f"{normalized_cqs_pure(bell, classify(3, 2)).value:.6f}")
+      f"{normalized_cqs_pure(bell, classify(3, 2)):.6f}")
 
 print()
 print("== both reduced sides give the same value ==")
@@ -55,7 +54,7 @@ print()
 print("== maximally entangled states saturate the range bound ==")
 for m in (2, 3, 4):
     p = classify(2, 2)
-    val = cqs_from_spectrum(np.full(m, 1 / m), p).value
+    val = unified_functional(np.full(m, 1 / m), p)
     print(f"m={m}: value {val:.9f} vs cap 1 - m^(s(1-q)) = {1 - m ** (2 * (1 - 2)):.9f}")
 
 print()

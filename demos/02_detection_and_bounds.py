@@ -44,7 +44,7 @@ print("== regime-B bound (0<q<1, s<0.9066) is tight on Bell pairs ==")
 p55 = classify(0.5, 0.5)
 bell = max_entangled(2)
 rep = bound_auto(bell.to_density(), p55)
-exact = cqs_pure(bell, p55).value
+exact = cqs_pure(bell, p55)
 print(f"bound {rep.lower_bound:.9f} vs exact {exact:.9f} (2^0.25 - 1)")
 
 print()
@@ -57,7 +57,7 @@ for seed in range(100):
     psi = haar_random_pure(psi_dims, seed=seed)
     spec = schmidt(psi).values
     lb = bound_value_auto(pure_state_norm(spec), min(psi_dims), p22)
-    exact = cqs_pure(psi, p22).value
+    exact = cqs_pure(psi, p22)
     worst = max(worst, lb - exact)
 print(f"max (bound - exact) over 100 random pure states: {worst:.2e}")
 

@@ -60,7 +60,6 @@ from .linalg import (
     trace_norm,
 )
 from .measures import (
-    MeasureValue,
     ParamPair,
     Regime,
     bell_normalizer,
@@ -68,7 +67,6 @@ from .measures import (
     classify,
     concurrence_bridge,
     concurrence_pure,
-    cqs_from_spectrum,
     cqs_mixed_two_qubit,
     cqs_pure,
     normalized_cqs_pure,

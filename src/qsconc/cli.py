@@ -86,17 +86,15 @@ def cmd_compute(args, argv) -> int:
     state = states.load_state_json(args.state)
     if isinstance(state, states.PureState):
         if args.normalized:
-            mv = measures.normalized_cqs_pure(state, p)
+            value = measures.normalized_cqs_pure(state, p)
         else:
-            mv = measures.cqs_pure(state, p, split=0)
+            value = measures.cqs_pure(state, p, split=0)
     else:
-        mv = measures.cqs_mixed_two_qubit(state, p)
+        value = measures.cqs_mixed_two_qubit(state, p)
         if not args.normalized:
-            mv = measures.MeasureValue(
-                mv.value * measures.bell_normalizer(p), False, p
-            )
-    print(f"value = {_fmt(mv.value)}")
-    print(f"normalized = {str(mv.normalized).lower()}")
+            value *= measures.bell_normalizer(p)
+    print(f"value = {_fmt(value)}")
+    print(f"normalized = {str(args.normalized).lower()}")
     print(f"regime = {p.regime.value}")
     print(f"epsilon = {p.epsilon:+d}")
     return EXIT_OK

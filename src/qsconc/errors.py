@@ -7,6 +7,8 @@ cause and fix the CLI exit code: ``InputError`` (bad input, exit 2),
 ``NumericError`` (numerical breakdown, exit 4).
 """
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Input data or an argument is invalid."""
@@ -38,10 +40,6 @@ class DimensionMismatchError(InputError):
 
 class RangeError(InputError):
     """Scalar argument outside its admissible range."""
-
-
-class NotBipartiteError(InputError):
-    """Requested split does not define a valid bipartition."""
 
 
 class NotNormalizedError(InputError):
@@ -106,3 +104,16 @@ class NonFiniteError(NumericError):
 
 class TooLargeError(ParamsError):
     """Problem size exceeds the supported desk scale."""
+
+
+# Scalar entry checks: Python and numpy ints and floats pass, a string, None
+# or bool does not. A Python float costs one type test; sweeps make thousands.
+def _require_real(x, what: str) -> None:
+    if type(x) is not float and (
+            isinstance(x, bool) or not isinstance(x, (float, int, np.floating, np.integer))):
+        raise RangeError(f"{what} must be a real number, got {x!r}")
+
+
+def _require_int(x, what: str) -> None:
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, (int, np.integer))):
+        raise RangeError(f"{what} must be an integer, got {x!r}")

@@ -3,7 +3,8 @@
 Polygon checks: in any multipartite pure state, each one-to-rest
 marginal measure is at most the sum of all the others (regime A). The
 group variant bounds the measure across a named block partition by the
-sum of the block members' marginals.
+sum of the block members' marginals. Each term is ``measures.cqs_pure``
+across its split, whose one check rejects a bad index or group.
 
 Monogamy (qubits): the one-to-rest normalized measure dominates the sum
 of the pairwise normalized measures. The guarantee is proven for
@@ -59,12 +60,9 @@ def _require_regime_a(p: ParamPair) -> None:
 
 
 def marginal_cqs(psi: states.PureState, j: int, p: ParamPair) -> float:
-    """One-to-rest measure of subsystem j: functional of its reduced state."""
+    """One-to-rest measure of subsystem j."""
     _require_regime_a(p)
-    if not 0 <= j < psi.n_parties:
-        raise IndexError(f"subsystem {j} out of range for {psi.n_parties} parties")
-    rho_j = states.reduced_state(psi, j)
-    return measures.unified_functional(rho_j, p)
+    return measures.cqs_pure(psi, p, j)
 
 
 def polygon_check(psi: states.PureState, p: ParamPair) -> PolygonReport:
@@ -88,14 +86,7 @@ def polygon_group_check(psi: states.PureState, group, p: ParamPair) -> PolygonRe
     """
     _require_regime_a(p)
     group = [int(i) for i in group]
-    n = psi.n_parties
-    if not group or len(set(group)) != len(group):
-        raise BadPartitionError(f"group {group} is empty or repeats an index")
-    if any(i < 0 or i >= n for i in group):
-        raise BadPartitionError(f"group {group} out of range for {n} parties")
-    if len(group) == n:
-        raise BadPartitionError("group must leave at least one subsystem outside")
-    lhs = measures.unified_functional(states.reduced_state(psi, group), p)
+    lhs = measures.cqs_pure(psi, p, group)
     parts = [marginal_cqs(psi, i, p) for i in group]
     violations = [0] if lhs > sum(parts) + POLYGON_TOL else []
     return PolygonReport([lhs] + parts, violations)

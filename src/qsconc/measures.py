@@ -9,6 +9,9 @@ on regime B (0 < q < 1 and 0 < q*s < 1); other (q, s) are rejected. The
 normalized variant divides by eps*(1 - 2**(s*(1-q))), which is the
 measure's value on a Bell pair, and for qubit-qudit states is connected
 to the ordinary concurrence through an analytic bridge function.
+
+Every measure is a plain float, and ``cqs_pure`` (from Schmidt values,
+split checked by ``states.schmidt``) is the one pure-state path across a split.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .errors import (
     NotQubitSideError,
     RangeError,
     UnsupportedRegimeError,
+    _require_real,
 )
 
 
@@ -50,18 +54,10 @@ class ParamPair:
         return self.regime is not Regime.UNSUPPORTED
 
 
-@dataclass(frozen=True)
-class MeasureValue:
-    value: float
-    normalized: bool
-    params: ParamPair
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def classify(q: float, s: float) -> ParamPair:
     """Classify (q, s) into regime A (eps=+1), regime B (eps=-1) or unsupported."""
+    _require_real(q, "q")
+    _require_real(s, "s")
     if not (0 < q < math.inf and 0 < s < math.inf):
         raise RangeError(f"q and s must be positive and finite, got q={q}, s={s}")
     if q >= 1 and q * s >= 1:
@@ -100,14 +96,9 @@ def unified_functional(rho_or_spectrum, p: ParamPair) -> float:
     return p.epsilon * (1.0 - t**p.s)
 
 
-def cqs_from_spectrum(spectrum, p: ParamPair) -> MeasureValue:
-    """Measure value from a Schmidt spectrum."""
-    return MeasureValue(unified_functional(spectrum, p), False, p)
-
-
-def cqs_pure(psi: states.PureState, p: ParamPair, split=0) -> MeasureValue:
-    """Measure of a pure state across the given bipartition."""
-    return cqs_from_spectrum(states.schmidt(psi, split), p)
+def cqs_pure(psi: states.PureState, p: ParamPair, split=0) -> float:
+    """Measure of a pure state across ``split``, as in ``states.schmidt``."""
+    return unified_functional(states.schmidt(psi, split), p)
 
 
 def bell_normalizer(p: ParamPair) -> float:
@@ -121,18 +112,16 @@ def bell_normalizer(p: ParamPair) -> float:
     return p.epsilon * (1.0 - 2.0 ** (p.s * (1.0 - p.q)))
 
 
-def normalized_cqs_pure(psi: states.PureState, p: ParamPair) -> MeasureValue:
+def normalized_cqs_pure(psi: states.PureState, p: ParamPair) -> float:
     """Normalized measure of a qubit-qudit pure state, in [0, 1]."""
     if psi.dims[0] != 2:
         raise NotQubitSideError(f"first subsystem must be a qubit, dims={psi.dims}")
-    raw = cqs_pure(psi, p, split=0)
-    return MeasureValue(raw.value / bell_normalizer(p), True, p)
+    return cqs_pure(psi, p, split=0) / bell_normalizer(p)
 
 
 def concurrence_pure(psi: states.PureState, split=0) -> float:
-    """Concurrence sqrt(2*(1 - tr rho_A^2)) across the bipartition."""
-    lam = states.schmidt(psi, split).values
-    return float(math.sqrt(max(0.0, 2.0 * (1.0 - float(np.sum(lam**2))))))
+    """Concurrence sqrt(2*(1 - tr rho_A^2)) = sqrt(2 * C_{2,1}) across the bipartition."""
+    return math.sqrt(max(0.0, 2.0 * cqs_pure(psi, classify(2, 1), split)))
 
 
 def concurrence_bridge(x: float, p: ParamPair) -> float:
@@ -144,6 +133,7 @@ def concurrence_bridge(x: float, p: ParamPair) -> float:
     measure holds inside ``bridge_window``, and monogamy sweeps evaluate
     the formula beyond it.
     """
+    _require_real(x, "concurrence")
     if p.q == 1.0:
         raise RangeError("bridge is singular at q = 1")
     if not -1e-9 <= x <= 1 + 1e-9:
@@ -187,7 +177,7 @@ def bridge_window(p: ParamPair) -> bool:
     return p.q >= 1 and 0 <= p.s <= 1 and 1 <= p.q * p.s <= 3
 
 
-def cqs_mixed_two_qubit(rho, p: ParamPair) -> MeasureValue:
+def cqs_mixed_two_qubit(rho, p: ParamPair) -> float:
     """Normalized measure of a two-qubit mixed state via the bridge identity."""
     if not bridge_window(p):
         raise BridgeWindowError(
@@ -195,4 +185,4 @@ def cqs_mixed_two_qubit(rho, p: ParamPair) -> MeasureValue:
             "q >= 1, 0 <= s <= 1, 1 <= q*s <= 3"
         )
     c = wootters_concurrence(rho)
-    return MeasureValue(concurrence_bridge(c, p), True, p)
+    return concurrence_bridge(c, p)

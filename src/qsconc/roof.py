@@ -51,6 +51,8 @@ from .errors import (
     RangeError,
     TooLargeError,
     UnsupportedRegimeError,
+    _require_int,
+    _require_real,
 )
 
 MAX_SIDE = 16
@@ -72,6 +74,11 @@ class RoofConfig:
     tolerance: float = 1e-6  # see RoofResult.converged
 
     def __post_init__(self):
+        for name in ("restarts", "iterations", "seed"):
+            _require_int(getattr(self, name), name)
+        if self.decomposition_length is not None:
+            _require_int(self.decomposition_length, "decomposition_length")
+        _require_real(self.tolerance, "tolerance")
         if not 1 <= self.restarts <= MAX_RESTARTS:
             raise RangeError(
                 f"restarts must be in [1, {MAX_RESTARTS}], got {self.restarts}"

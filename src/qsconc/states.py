@@ -26,14 +26,16 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    BadPartitionError,
     DimensionMismatchError,
     NonFiniteInputError,
     NonHermitianError,
-    NotBipartiteError,
     NotNormalizedError,
     NotPSDError,
     RangeError,
     StateFormatError,
+    _require_int,
+    _require_real,
 )
 
 NORM_TOL = 1e-9
@@ -166,13 +168,11 @@ def _group_coefficient_matrix(psi: PureState, split) -> np.ndarray:
     else:
         group = [int(i) for i in split]
     n = psi.n_parties
-    if not group or len(set(group)) != len(group):
-        raise NotBipartiteError(f"split {group} is empty or repeats an index")
-    if any(i < 0 or i >= n for i in group):
-        raise NotBipartiteError(f"split {group} out of range for {n} subsystems")
+    # The one split check: distinct indices forming a nonempty proper subset.
+    if len(set(group)) != len(group) or not set() < set(group) < set(range(n)):
+        raise BadPartitionError(
+            f"split {group} must be distinct indices in [0, {n}) leaving one outside")
     rest = [i for i in range(n) if i not in group]
-    if not rest:
-        raise NotBipartiteError("split keeps every subsystem; nothing to trace")
     t = psi.amplitudes.reshape(psi.dims)
     t = np.transpose(t, group + rest)
     da = math.prod(psi.dims[i] for i in group)
@@ -199,6 +199,7 @@ def reduced_state(psi: PureState, split) -> np.ndarray:
 
 def max_entangled(d: int) -> PureState:
     """(1/sqrt(d)) sum_i |ii> on C^d x C^d."""
+    _require_int(d, "d")
     if d < 2:
         raise RangeError(f"need d >= 2, got {d}")
     v = np.zeros(d * d, dtype=complex)
@@ -208,11 +209,10 @@ def max_entangled(d: int) -> PureState:
 
 def isotropic(f: float, d: int) -> DensityMatrix:
     """Isotropic state with fidelity ``f`` to the maximally entangled state."""
+    _require_real(f, "fidelity")
     if not 0.0 <= f <= 1.0:
         raise RangeError(f"fidelity must be in [0, 1], got {f}")
-    if d < 2:
-        raise RangeError(f"need d >= 2, got {d}")
-    p = max_entangled(d).projector()
+    p = max_entangled(d).projector()  # checks d
     eye = np.eye(d * d, dtype=complex)
     rho = (1.0 - f) / (d * d - 1) * (eye - p) + f * p
     return DensityMatrix((d, d), rho)
@@ -224,6 +224,8 @@ def werner(w: float, d: int) -> DensityMatrix:
     rho = a I + b F with F the swap |ik> -> |ki>: weight 2(1-w)/(d(d+1)) on
     the symmetric subspace and 2w/(d(d-1)) on the antisymmetric one.
     """
+    _require_real(w, "w")
+    _require_int(d, "d")
     if not 0.0 <= w <= 1.0:
         raise RangeError(f"w must be in [0, 1], got {w}")
     if d < 2:

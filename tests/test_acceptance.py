@@ -38,7 +38,7 @@ def test_criterion_01_max_entangled_saturation():
     for m in (2, 3, 4):
         for q, s in [(2, 1), (2, 2), (3, 2), (2.5, 1)]:
             p = measures.classify(q, s)
-            val = measures.cqs_pure(states.max_entangled(m), p).value
+            val = measures.cqs_pure(states.max_entangled(m), p)
             worst = max(worst, abs(val - (1 - m ** (s * (1 - q)))))
     _report("01 max-entangled saturation", worst <= 1e-12, f"worst |err| = {worst:.2e}")
 
@@ -132,21 +132,11 @@ def test_criterion_06a_bound_formula_identities():
 
 
 def test_criterion_06b_bound_below_raw_curve_and_werner_envelope():
-    worst_iso = max(
-        bounds.bound_value_regime_a(3 * float(f), 3, P22)
-        - cf.isotropic_curve(float(f), 2, 2, 3)
-        for f in F_SWEEP
-    )
-    worst_wer_raw = max(
-        bounds.bound_value_regime_a(2 * float(w), 2, P32)
-        - cf.werner_curve(float(w), 3, 2)
-        for w in W_SWEEP
-    )
-    worst_wer_env = max(
-        bounds.bound_value_regime_a(2 * float(w), 2, P32)
-        - cf.cqs_werner(float(w), 3, 2)
-        for w in W_SWEEP
-    )
+    lb_iso = bounds.bound_value_regime_a(3 * F_SWEEP, 3, P22)
+    lb_wer = bounds.bound_value_regime_a(2 * W_SWEEP, 2, P32)
+    worst_iso = float(np.max(lb_iso - cf.isotropic_curve(F_SWEEP, 2, 2, 3)))
+    worst_wer_raw = float(np.max(lb_wer - cf.werner_curve(W_SWEEP, 3, 2)))
+    worst_wer_env = float(np.max(lb_wer - cf.cqs_werner(W_SWEEP, 3, 2)))
     ok = max(worst_iso, worst_wer_raw, worst_wer_env) <= 1e-9
     _report(
         "06b bound below raw curves and Werner envelope",
@@ -168,13 +158,9 @@ def test_criterion_06c_bound_below_isotropic_envelope():
     ``bound_value_tight`` (co R_3 of the norm 3F), against both the default
     envelope and the true (tangent) convex envelope, which lies below it.
     """
-    tight = np.array(
-        [bounds.bound_value_tight(3 * float(f), 3, P22) for f in F_SWEEP]
-    )
-    gaps = tight - np.array([cf.cqs_isotropic(float(f), 2, 2, 3) for f in F_SWEEP])
-    gaps_tangent = tight - np.array(
-        [cf.cqs_isotropic(float(f), 2, 2, 3, method="tangent") for f in F_SWEEP]
-    )
+    tight = bounds.bound_value_tight(3 * F_SWEEP, 3, P22)
+    gaps = tight - cf.cqs_isotropic(F_SWEEP, 2, 2, 3)
+    gaps_tangent = tight - cf.cqs_isotropic(F_SWEEP, 2, 2, 3, method="tangent")
     worst = float(gaps.max())
     worst_tangent = float(gaps_tangent.max())
     region = F_SWEEP[np.maximum(gaps, gaps_tangent) > 1e-9]
@@ -192,16 +178,13 @@ def test_criterion_06c_bound_below_isotropic_envelope():
 
 
 def test_criterion_07_dominance_and_crossover():
-    worst = min(
-        cf.cqs_isotropic(float(f), 2, 2, 3)
-        - cf.reference_q_concurrence_isotropic(float(f))
-        for f in F_SWEEP
-    )
+    worst = float(np.min(cf.cqs_isotropic(F_SWEEP, 2, 2, 3)
+                         - cf.reference_q_concurrence_isotropic(F_SWEEP)))
 
     def gap(w):
         return cf.cqs_werner(w, 3, 2) - cf.reference_c3t_werner(w)
 
-    ordered = all(gap(float(w)) >= -1e-9 for w in np.linspace(0.5, 0.955, 200))
+    ordered = bool(np.all(gap(np.linspace(0.5, 0.955, 200)) >= -1e-9))
     lo, hi = 0.94, 0.995
     for _ in range(60):
         mid = 0.5 * (lo + hi)

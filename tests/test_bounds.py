@@ -159,7 +159,7 @@ class TestRegimeBBound:
         rep = bounds.bound_auto(states.max_entangled(2).to_density(), p)
         expected = 2**0.25 - 1
         assert rep.lower_bound == pytest.approx(expected, abs=1e-12)
-        exact = measures.cqs_pure(states.max_entangled(2), p).value
+        exact = measures.cqs_pure(states.max_entangled(2), p)
         assert rep.lower_bound == pytest.approx(exact, abs=1e-12)
 
 
@@ -194,7 +194,7 @@ class TestSandwichOnPureStates:
             m = min(dims)
             q, s = PURE_SWEEP_PAIRS[seed % len(PURE_SWEEP_PAIRS)]
             p = measures.classify(q, s)
-            exact = measures.cqs_from_spectrum(spectrum, p).value
+            exact = measures.unified_functional(spectrum, p)
             lb = bounds.bound_value_auto(norm, m, p)
             assert lb <= exact + 1e-9
 
@@ -227,7 +227,7 @@ class TestPublishedBoundsUnsoundOnPureStates:
     def test_bound_exceeds_pure_measure(self, q, s, lam0, measure, bound):
         p = measures.classify(q, s)
         psi = two_qubit_pure(lam0)
-        exact = measures.cqs_pure(psi, p, split=0).value
+        exact = measures.cqs_pure(psi, p, split=0)
         rep = bounds.bound_auto(psi.to_density(), p)
         assert exact == pytest.approx(measure, abs=1e-6)
         assert rep.lower_bound == pytest.approx(bound, abs=1e-6)
@@ -274,7 +274,7 @@ class TestPublishedRegimeBUnsoundOnMixedStates:
         assert np.abs(rebuilt - rho.matrix).max() <= 1e-12
         weights = [float(np.vdot(v, v).real) for v in terms]
         value = sum(w * measures.cqs_pure(states.PureState((3, 3), v / np.sqrt(w)), p,
-                                          split=0).value
+                                          split=0)
                     for v, w in zip(terms, weights))
         rep = bounds.bound_auto(rho, p)
         assert value == pytest.approx(ensemble, abs=1e-5)
@@ -299,7 +299,7 @@ class TestTightBound:
     def test_nondecreasing_convex_zero_below_one(self, q, s, m):
         p = measures.classify(q, s)
         grid = np.linspace(0.0, m, 801)
-        vals = np.array([bounds.bound_value_tight(float(n), m, p) for n in grid])
+        vals = bounds.bound_value_tight(grid, m, p)
         assert np.all(vals[grid <= 1.0] == 0.0)
         assert np.min(np.diff(vals)) >= -1e-12
         assert np.min(np.diff(vals, 2)) >= -1e-12
@@ -307,16 +307,16 @@ class TestTightBound:
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_equals_tangent_isotropic_envelope(self, d):
         p = measures.classify(2, 2)
-        for f in np.linspace(1 / d + 1e-3, 1.0, 500):
-            lb = bounds.bound_value_tight(d * float(f), d, p)
-            exact = cf.cqs_isotropic(float(f), 2, 2, d, method="tangent")
-            assert lb == pytest.approx(exact, abs=1e-12)
+        fs = np.linspace(1 / d + 1e-3, 1.0, 500)
+        lb = bounds.bound_value_tight(d * fs, d, p)
+        exact = cf.cqs_isotropic(fs, 2, 2, d, method="tangent")
+        assert lb == pytest.approx(exact, abs=1e-12)
 
     def test_below_werner_envelope(self):
         p = measures.classify(3, 2)
-        for w in np.linspace(0.5 + 1e-3, 1.0, 500):
-            lb = bounds.bound_value_tight(2 * float(w), 2, p)
-            assert lb <= cf.cqs_werner(float(w), 3, 2, method="tangent") + 1e-9
+        ws = np.linspace(0.5 + 1e-3, 1.0, 500)
+        lb = bounds.bound_value_tight(2 * ws, 2, p)
+        assert np.all(lb <= cf.cqs_werner(ws, 3, 2, method="tangent") + 1e-9)
 
     @pytest.mark.parametrize("q,m", [(2.5, 3), (3, 3), (4, 8)])
     def test_not_below_published_at_s_one(self, q, m):
@@ -337,7 +337,7 @@ class TestTightBound:
         psi = two_qubit_pure(lam0)
         rep = bounds.detect(psi.to_density())
         lb = bounds.bound_value_tight(rep.max_norm, rep.m, p)
-        exact = measures.cqs_pure(psi, p, split=0).value
+        exact = measures.cqs_pure(psi, p, split=0)
         assert lb <= exact + 1e-12
         assert lb == pytest.approx(exact, abs=1e-9)
 
@@ -349,7 +349,7 @@ class TestTightBound:
             norm = bounds.pure_state_norm(spectrum)
             for p in pairs:
                 lb = bounds.bound_value_tight(norm, min(dims), p)
-                exact = measures.cqs_from_spectrum(spectrum, p).value
+                exact = measures.unified_functional(spectrum, p)
                 assert lb <= exact + 1e-9, (p, seed)
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -364,7 +364,7 @@ class TestTightBound:
                              np.eye(m)[0], np.full(m, 1.0 / m)])
         norms = np.array([bounds.pure_state_norm(lam) for lam in spectra])
         lower = bounds.bound_value_tight(np.minimum(norms, m), m, p)
-        exact = np.array([measures.cqs_from_spectrum(lam, p).value for lam in spectra])
+        exact = np.array([measures.unified_functional(lam, p) for lam in spectra])
         assert (lower <= exact + 1e-9).all(), (lower - exact).max()
 
     def test_norm_outside_range_is_range_error(self):

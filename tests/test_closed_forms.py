@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qsconc import bounds, closed_forms as cf, measures, states
+from qsconc import bounds, closed_forms as cf, measures, roof, states
 from qsconc.errors import ClosedFormWindowError, NoApplicableBoundError, RangeError
 
 
@@ -66,7 +66,7 @@ class TestIsotropicCurve:
     @pytest.mark.parametrize("q,s,d", [(2, 2, 2), (2, 2, 3), (3, 2, 3), (2.5, 1, 4)])
     def test_monotone_increasing_on_entangled_region(self, q, s, d):
         fs = np.linspace(1.0 / d + 1e-6, 1.0, 400)
-        vals = [cf.isotropic_curve(float(f), q, s, d) for f in fs]
+        vals = cf.isotropic_curve(fs, q, s, d)
         assert np.min(np.diff(vals)) > 0
 
 
@@ -90,7 +90,7 @@ class TestWernerCurve:
 
     def test_monotone_increasing(self):
         ws = np.linspace(0.5 + 1e-6, 1.0, 400)
-        vals = [cf.werner_curve(float(w), 3, 2) for w in ws]
+        vals = cf.werner_curve(ws, 3, 2)
         assert np.min(np.diff(vals)) > 0
 
 
@@ -199,8 +199,7 @@ class TestEnvelope:
         for method in ("inflection", "tangent"):
             env = maker(*args, method=method)
             xs = np.linspace(env.sep_threshold + 1e-6, env.right, 500)
-            for x in xs:
-                assert env(float(x)) <= env.analytic(float(x)) + 1e-9
+            assert np.all(env(xs) <= env.analytic(xs) + 1e-9)
 
     def test_tangent_envelope_is_convex_throughout(self):
         # The tangent construction is the true convex envelope: second
@@ -211,7 +210,7 @@ class TestEnvelope:
             cf.werner_envelope(3, 2, method="tangent"),
         ):
             xs = np.linspace(env.sep_threshold + 1e-4, env.right - 1e-4, 1500)
-            vals = np.array([env(float(x)) for x in xs])
+            vals = env(xs)
             assert np.min(np.diff(vals, 2)) >= -1e-7
 
     def test_inflection_envelope_convex_on_each_branch(self):
@@ -221,7 +220,7 @@ class TestEnvelope:
             cf.werner_envelope(3, 2),
         ):
             xs = np.linspace(env.sep_threshold + 1e-4, env.breakpoint - 1e-4, 800)
-            vals = np.array([env(float(x)) for x in xs])
+            vals = env(xs)
             assert np.min(np.diff(vals, 2)) >= -1e-7
 
     def test_inflection_envelope_has_concave_junction(self):
@@ -242,8 +241,8 @@ class TestEnvelope:
         # points; the envelope must still stay below the curve and be convex.
         env = cf.isotropic_envelope(q, s, d, method="tangent")
         xs = np.linspace(1 / d + 1e-4, 1.0, 3001)
-        vals = np.array([env(float(x)) for x in xs])
-        curve = np.array([cf.isotropic_curve(float(x), q, s, d) for x in xs])
+        vals = env(xs)
+        curve = cf.isotropic_curve(xs, q, s, d)
         assert np.max(vals - curve) <= 1e-12
         assert np.min(np.diff(vals, 2)) >= -1e-12
 
@@ -256,8 +255,8 @@ class TestEnvelope:
     def test_tangent_below_inflection_envelope(self):
         infl = cf.isotropic_envelope(2, 2, 3)
         tang = cf.isotropic_envelope(2, 2, 3, method="tangent")
-        for x in np.linspace(1 / 3 + 1e-6, 1.0, 400):
-            assert tang(float(x)) <= infl(float(x)) + 1e-9
+        xs = np.linspace(1 / 3 + 1e-6, 1.0, 400)
+        assert np.all(tang(xs) <= infl(xs) + 1e-9)
 
     def test_dimension_limit(self):
         # The largest supported d still gets the chord from the threshold.
@@ -296,6 +295,33 @@ class TestEnvelope:
             cf.isotropic_envelope.cache_clear()
             cf.werner_envelope.cache_clear()
         assert builds == ["inflection", "tangent"] * 2
+
+
+class TestPublishedEnvelopeExcess:
+    """The published (inflection) envelope's excess over the exact (tangent)
+    one, as quoted in the ``closed_forms`` docstring and the README."""
+
+    @pytest.mark.parametrize("make,args,lo,excess", [
+        (cf.isotropic_envelope, (2, 2, 3), 1 / 3, 0.0194),
+        (cf.isotropic_envelope, (2, 2, 4), 1 / 4, 0.0373),
+        (cf.isotropic_envelope, (2, 2, 8), 1 / 8, 0.0754),
+        (cf.werner_envelope, (3, 2), 1 / 2, 0.0166),
+    ])
+    def test_quoted_excess(self, make, args, lo, excess):
+        xs = np.linspace(lo, 1.0, 20001)
+        gap = make(*args)(xs) - make(*args, method="tangent")(xs)
+        assert gap.max() == pytest.approx(excess, abs=1e-4)
+        assert gap.min() >= -1e-12
+
+    def test_roof_certifies_the_excess(self):
+        # A decomposition of the d = 3 isotropic state at F = 0.724 worth
+        # less than the published value: the published envelope is not the
+        # measure there, and the search lands on the exact one.
+        f, p = 0.724, measures.classify(2, 2)
+        res = roof.roof_estimate(states.isotropic(f, 3), p,
+                                 roof.RoofConfig(restarts=2, iterations=100, seed=0))
+        assert res.estimate <= cf.cqs_isotropic(f, 2, 2, 3) - 0.019
+        assert res.estimate >= cf.cqs_isotropic(f, 2, 2, 3, method="tangent") - 1e-9
 
 
 class TestScalarEvaluators:
@@ -359,16 +385,15 @@ class TestReferenceCurves:
 
 class TestComparisons:
     def test_dominance_over_single_exponent_curve(self):
-        for f in np.linspace(1 / 3 + 1e-4, 1.0, 500):
-            assert cf.cqs_isotropic(float(f), 2, 2, 3) >= (
-                cf.reference_q_concurrence_isotropic(float(f)) - 1e-9
-            )
+        fs = np.linspace(1 / 3 + 1e-4, 1.0, 500)
+        assert np.all(cf.cqs_isotropic(fs, 2, 2, 3)
+                      >= cf.reference_q_concurrence_isotropic(fs) - 1e-9)
 
     def test_werner_crossover_location(self):
         def gap(w):
             return cf.cqs_werner(w, 3, 2) - cf.reference_c3t_werner(w)
 
-        assert all(gap(w) >= -1e-9 for w in np.linspace(0.5, 0.955, 200))
+        assert np.all(gap(np.linspace(0.5, 0.955, 200)) >= -1e-9)
         assert gap(0.99) < 0
         lo, hi = 0.94, 0.99
         for _ in range(60):
@@ -383,18 +408,18 @@ class TestComparisons:
 class TestBoundVsExactCurves:
     def test_bound_below_raw_curves(self):
         p22, p32 = measures.classify(2, 2), measures.classify(3, 2)
-        for f in np.linspace(1 / 3 + 1e-3, 1.0, 300):
-            lb = bounds.bound_value_regime_a(3 * float(f), 3, p22)
-            assert lb <= cf.isotropic_curve(float(f), 2, 2, 3) + 1e-9
-        for w in np.linspace(0.5 + 1e-3, 1.0, 300):
-            lb = bounds.bound_value_regime_a(2 * float(w), 2, p32)
-            assert lb <= cf.werner_curve(float(w), 3, 2) + 1e-9
+        fs = np.linspace(1 / 3 + 1e-3, 1.0, 300)
+        lb = bounds.bound_value_regime_a(3 * fs, 3, p22)
+        assert np.all(lb <= cf.isotropic_curve(fs, 2, 2, 3) + 1e-9)
+        ws = np.linspace(0.5 + 1e-3, 1.0, 300)
+        lb = bounds.bound_value_regime_a(2 * ws, 2, p32)
+        assert np.all(lb <= cf.werner_curve(ws, 3, 2) + 1e-9)
 
     def test_bound_below_werner_envelope(self):
         p32 = measures.classify(3, 2)
-        for w in np.linspace(0.5 + 1e-3, 1.0, 500):
-            lb = bounds.bound_value_regime_a(2 * float(w), 2, p32)
-            assert lb <= cf.cqs_werner(float(w), 3, 2) + 1e-9
+        ws = np.linspace(0.5 + 1e-3, 1.0, 500)
+        lb = bounds.bound_value_regime_a(2 * ws, 2, p32)
+        assert np.all(lb <= cf.cqs_werner(ws, 3, 2) + 1e-9)
 
     def test_regime_a_bound_exceeds_isotropic_envelope_near_max_fidelity(self):
         # Measured defect of the published mixed-state bound at s=2: on

@@ -58,7 +58,7 @@ class TestMarginals:
             inequalities.marginal_cqs(ghz(3), 0, measures.classify(0.5, 0.5))
 
     def test_bad_index(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(BadPartitionError):
             inequalities.marginal_cqs(ghz(3), 3, measures.classify(2, 1))
 
 

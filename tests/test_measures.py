@@ -37,6 +37,15 @@ class TestClassify:
         with pytest.raises(RangeError):
             measures.classify(q, s)
 
+    @pytest.mark.parametrize("q,s", [("2", "1"), (True, True), (2, None)])
+    def test_non_numbers_rejected(self, q, s):
+        # Unchecked, a string or None raises TypeError and True reads as 1.
+        with pytest.raises(RangeError, match="real number"):
+            measures.classify(q, s)
+
+    def test_numpy_scalars_accepted(self):
+        assert measures.classify(np.int64(2), np.float32(1.0)) == measures.classify(2, 1)
+
 
 class TestUnifiedFunctional:
     @pytest.mark.parametrize("q,s", [(2, 1), (2, 2), (0.5, 1), (0.7, 0.5)])
@@ -69,32 +78,32 @@ class TestPureMeasure:
         a = states.haar_random_pure((2,), seed=0).amplitudes
         b = states.haar_random_pure((2,), seed=1).amplitudes
         psi = states.PureState((2, 2), np.kron(a, b))
-        assert measures.cqs_pure(psi, measures.classify(2, 1)).value == pytest.approx(
+        assert measures.cqs_pure(psi, measures.classify(2, 1)) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_bell(self):
         val = measures.cqs_pure(states.max_entangled(2), measures.classify(2, 1))
-        assert val.value == pytest.approx(0.5, abs=1e-12)
+        assert val == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("q,s", [(2, 1), (2, 2), (3, 2)])
     def test_max_entangled_saturates(self, m, q, s):
         val = measures.cqs_pure(states.max_entangled(m), measures.classify(q, s))
-        assert val.value == pytest.approx(1 - m ** (s * (1 - q)), abs=1e-12)
+        assert val == pytest.approx(1 - m ** (s * (1 - q)), abs=1e-12)
 
     def test_spectrum_examples(self):
-        assert measures.cqs_from_spectrum([1.0], measures.classify(2, 2)).value == 0.0
-        val = measures.cqs_from_spectrum([0.7, 0.3], measures.classify(2, 2))
-        assert val.value == pytest.approx(1 - 0.58**2, abs=1e-12)
-        val_b = measures.cqs_from_spectrum([0.5, 0.5], measures.classify(0.5, 1))
-        assert val_b.value == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
+        assert measures.unified_functional([1.0], measures.classify(2, 2)) == 0.0
+        val = measures.unified_functional([0.7, 0.3], measures.classify(2, 2))
+        assert val == pytest.approx(1 - 0.58**2, abs=1e-12)
+        val_b = measures.unified_functional([0.5, 0.5], measures.classify(0.5, 1))
+        assert val_b == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
 
     def test_matches_spectrum_path(self):
         psi = states.haar_random_pure((3, 3), seed=4)
         p = measures.classify(2.5, 1.2)
-        via_state = measures.cqs_pure(psi, p).value
-        via_spec = measures.cqs_from_spectrum(states.schmidt(psi), p).value
+        via_state = measures.cqs_pure(psi, p)
+        via_spec = measures.unified_functional(states.schmidt(psi), p)
         assert via_state == pytest.approx(via_spec, abs=1e-12)
 
 
@@ -104,21 +113,21 @@ class TestNormalized:
             val = measures.normalized_cqs_pure(
                 states.max_entangled(2), measures.classify(q, s)
             )
-            assert val.value == pytest.approx(1.0, abs=1e-12)
+            assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_product_zero(self):
         v = np.zeros(4, dtype=complex)
         v[0] = 1
         psi = states.PureState((2, 2), v)
         val = measures.normalized_cqs_pure(psi, measures.classify(2, 1))
-        assert val.value == 0.0
+        assert val == 0.0
 
     def test_skewed_spectrum(self):
         v = np.zeros(4, dtype=complex)
         v[0], v[3] = math.sqrt(0.9), math.sqrt(0.1)
         psi = states.PureState((2, 2), v)
         val = measures.normalized_cqs_pure(psi, measures.classify(2, 1))
-        assert val.value == pytest.approx(0.36, abs=1e-12)
+        assert val == pytest.approx(0.36, abs=1e-12)
 
     def test_qutrit_side_rejected(self):
         psi = states.haar_random_pure((3, 2), seed=2)
@@ -179,6 +188,12 @@ class TestBridge:
         with pytest.raises(RangeError):
             measures.concurrence_bridge(1.5, measures.classify(2, 1))
 
+    @pytest.mark.parametrize("x", ["0.5", True])
+    def test_non_numbers_rejected(self, x):
+        # Unchecked, "0.5" raises TypeError and True reads as the concurrence 1.
+        with pytest.raises(RangeError, match="real number"):
+            measures.concurrence_bridge(x, measures.classify(2, 1))
+
     def test_monotone_and_convex_in_window(self):
         pairs = [(2, 1), (3, 1), (2, 0.75), (3, 0.6), (4, 0.5), (2.5, 0.9), (6, 0.5)]
         xs = np.linspace(0.0, 1.0, 10_000)
@@ -216,17 +231,16 @@ class TestMixedTwoQubit:
     def test_separable(self):
         rho = states.DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
         val = measures.cqs_mixed_two_qubit(rho, measures.classify(2, 1))
-        assert val.value == 0.0
+        assert val == 0.0
 
     def test_bell(self):
         rho = states.max_entangled(2).to_density()
         val = measures.cqs_mixed_two_qubit(rho, measures.classify(2, 1))
-        assert val.value == pytest.approx(1.0, abs=1e-9)
+        assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_werner_composition(self):
         val = measures.cqs_mixed_two_qubit(states.werner(0.75, 2), measures.classify(2, 1))
-        assert val.value == pytest.approx(0.25, abs=1e-9)
-        assert val.normalized
+        assert val == pytest.approx(0.25, abs=1e-9)
 
     @pytest.mark.parametrize("q,s", [(4, 1), (2, 2), (0.5, 0.5), (2, 1.6)])
     def test_window_enforced(self, q, s):
@@ -242,14 +256,14 @@ class TestReductions:
             p = measures.classify(q, 1)
             for _ in range(20):
                 lam = rng.dirichlet(np.ones(4))
-                got = measures.cqs_from_spectrum(lam, p).value
+                got = measures.unified_functional(lam, p)
                 assert got == pytest.approx(1 - np.sum(lam**q), abs=1e-12)
 
     def test_q2_s1_is_half_squared_concurrence(self):
         for seed in range(20):
             psi = states.haar_random_pure((2, 3), seed=seed)
             c = measures.concurrence_pure(psi)
-            val = measures.cqs_pure(psi, measures.classify(2, 1)).value
+            val = measures.cqs_pure(psi, measures.classify(2, 1))
             assert val == pytest.approx(c * c / 2, abs=1e-12)
 
 
@@ -280,7 +294,7 @@ class TestProperties:
             psi = states.haar_random_pure(dims, seed=seed)
             for q, s in self.PAIRS:
                 p = measures.classify(q, s)
-                val = measures.cqs_pure(psi, p).value
+                val = measures.cqs_pure(psi, p)
                 cap = p.epsilon * (1 - m ** (s * (1 - q)))
                 assert -1e-12 <= val <= cap + 1e-12
 

@@ -71,7 +71,7 @@ class TestExactCases:
         p = measures.classify(2, 2)
         psi = states.haar_random_pure((2, 2), seed=5)
         res = roof.roof_estimate(psi.to_density(), p, FAST)
-        assert res.estimate == pytest.approx(measures.cqs_pure(psi, p).value, abs=1e-9)
+        assert res.estimate == pytest.approx(measures.cqs_pure(psi, p), abs=1e-9)
 
     def test_separable_diagonal_mixture(self):
         rho = states.DensityMatrix((2, 2), np.diag([0.6, 0, 0, 0.4]).astype(complex))
@@ -100,7 +100,7 @@ class TestDecomposition:
         for rho in (states.random_mixed((2, 2), 3, seed=11), states.werner(0.75, 2)):
             res = roof.roof_estimate(rho, p, FAST)
             total = sum(
-                w * measures.cqs_pure(st, p, split=0).value
+                w * measures.cqs_pure(st, p, split=0)
                 for w, st in zip(res.best_weights, res.best_states)
             )
             assert res.estimate == pytest.approx(total, abs=1e-12)
@@ -425,6 +425,24 @@ class TestGuards:
     def test_too_many_restarts_rejected(self):
         with pytest.raises(RangeError):
             roof.RoofConfig(restarts=roof.MAX_RESTARTS + 1)
+
+    @pytest.mark.parametrize("restarts", ["4", True])
+    def test_non_integer_restarts_rejected(self, restarts):
+        # Unchecked, "4" raises TypeError and True runs one restart.
+        with pytest.raises(RangeError, match="integer"):
+            roof.RoofConfig(restarts=restarts)
+
+    @pytest.mark.parametrize("field", ["restarts", "iterations", "seed",
+                                       "decomposition_length"])
+    def test_float_counts_rejected(self, field):
+        # Unchecked, each passes the config and raises TypeError inside the search.
+        with pytest.raises(RangeError, match="integer"):
+            cfg = roof.RoofConfig(**{"restarts": 2, "iterations": 10, field: 2.5})
+            roof.roof_estimate(states.werner(0.75, 2), measures.classify(2, 1), cfg)
+
+    def test_string_tolerance_rejected(self):
+        with pytest.raises(RangeError, match="real number"):
+            roof.RoofConfig(tolerance="1e-6")
 
     def test_length_above_side_squared_rejected(self):
         # Raised before any array of this length is allocated.

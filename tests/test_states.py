@@ -8,11 +8,11 @@ import pytest
 
 from qsconc import linalg, measures, states
 from qsconc.errors import (
+    BadPartitionError,
     DimensionMismatchError,
     InputError,
     NonFiniteInputError,
     NonHermitianError,
-    NotBipartiteError,
     NotNormalizedError,
     RangeError,
     StateFormatError,
@@ -52,9 +52,9 @@ class TestSchmidt:
 
     def test_invalid_split(self):
         psi = states.haar_random_pure((2, 2), seed=0)
-        with pytest.raises(NotBipartiteError):
+        with pytest.raises(BadPartitionError):
             states.schmidt(psi, [0, 1])
-        with pytest.raises(NotBipartiteError):
+        with pytest.raises(BadPartitionError):
             states.schmidt(psi, 5)
 
 
@@ -73,6 +73,10 @@ class TestMaxEntangled:
     def test_d_below_two_rejected(self):
         with pytest.raises(RangeError):
             states.max_entangled(1)
+
+    def test_float_d_rejected(self):
+        with pytest.raises(RangeError, match="integer"):
+            states.max_entangled(2.0)
 
 
 class TestIsotropic:
@@ -119,6 +123,16 @@ class TestIsotropic:
             states.isotropic(1.2, 2)
         with pytest.raises(RangeError):
             states.isotropic(0.5, 1)
+
+    @pytest.mark.parametrize("f,d", [("0.5", 3), (0.5, 2.5), (True, 3)])
+    def test_ill_typed_scalars_rejected(self, f, d):
+        # Unchecked, a string or a non-integer d raises TypeError and True reads as F = 1.
+        with pytest.raises(RangeError):
+            states.isotropic(f, d)
+
+    def test_numpy_scalars_accepted(self):
+        want = states.isotropic(0.5, 3).matrix
+        assert np.array_equal(states.isotropic(np.float64(0.5), np.int64(3)).matrix, want)
 
 
 class TestWerner:
@@ -171,6 +185,12 @@ class TestWerner:
             u = states.haar_random_unitary(2, seed=seed)
             g = np.kron(u, u)
             assert np.max(np.abs(g @ rho @ g.conj().T - rho)) <= 1e-8
+
+    @pytest.mark.parametrize("w,d", [("0.5", 3), (0.5, 3.0), (True, 3)])
+    def test_ill_typed_scalars_rejected(self, w, d):
+        # Unchecked, a string or a float d raises TypeError and True reads as w = 1.
+        with pytest.raises(RangeError):
+            states.werner(w, d)
 
 
 class TestGenSchmidt3:
