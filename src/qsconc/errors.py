@@ -86,6 +86,10 @@ class MonogamyWindowError(ParamsError):
     """(q, s) not usable for the monogamy residual (needs regime A with q > 1)."""
 
 
+class NotAStateError(InputError):
+    """Argument is neither a PureState nor a DensityMatrix."""
+
+
 class NotQubitsError(InputError):
     """Operation is defined for qubit subsystems only."""
 

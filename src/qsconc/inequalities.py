@@ -27,6 +27,7 @@ from .errors import (
     BadPartitionError,
     MixedGlobalStateError,
     MonogamyWindowError,
+    NotAStateError,
     NotQubitsError,
     UnsupportedRegimeError,
 )
@@ -85,7 +86,7 @@ def polygon_group_check(psi: states.PureState, group, p: ParamPair) -> PolygonRe
     a violation is flagged under index 0.
     """
     _require_regime_a(p)
-    group = [int(i) for i in group]
+    group = states._split_group(group, psi.n_parties)
     lhs = measures.cqs_pure(psi, p, group)
     parts = [marginal_cqs(psi, i, p) for i in group]
     violations = [0] if lhs > sum(parts) + POLYGON_TOL else []
@@ -120,7 +121,7 @@ def qubit_concurrences(state) -> tuple[float, ...]:
             )
         psi = states.PureState(state.dims, v[:, -1] / np.linalg.norm(v[:, -1]))
     else:
-        raise TypeError(f"expected a state, got {type(state).__name__}")
+        raise NotAStateError(f"expected a PureState or DensityMatrix, got {type(state).__name__}")
     n = psi.n_parties
     if n < 2 or any(d != 2 for d in psi.dims):
         raise NotQubitsError(f"need two or more qubits, dims={psi.dims}")

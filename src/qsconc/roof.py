@@ -20,14 +20,22 @@ restarts advance together in batched numpy calls.
   the last one ended.
 
 Each round scores a term from the spectrum of its block's Gram matrix on
-the smaller side. When that side is 2 (a qubit on either party) the two
-eigenvalues and the gradient come in closed form from ufunc arithmetic,
-with no LAPACK call; otherwise from one small Hermitian eigh per block.
-Either way the eigenvalues carry an absolute error of about 1e-16 times
-the term's weight, which moves the unsmoothed regime-B measure at small
-q, so the returned values are not the search's own: one batched SVD of
-every restart's last isometry scores it exactly, and the best restart is
-chosen on that score.
+the smaller side. When that side is 3 or more, the round forms the blocks
+and takes one small Hermitian eigh per block. When it is 2 (a qubit on
+either party) the two eigenvalues and the gradient come in closed form
+from ufunc arithmetic, with no LAPACK call, and the round never forms a
+block: with A_j the block of a0's column j (transposed when da > db, so
+that it is 2 x max(da, db)), the search builds once the kernel matrix
+P[j, ab, l] = sum_c A_j[a, c] conj(A_l[b, c]) of shape (rank, 4 rank).
+Each round then takes W = U P, reshaped to (n, L, 4, rank), reads each
+term's Gram entries as g_ab = sum_l W_ab,l conj(U_l), and, with the
+closed-form alpha, beta and h of ``_value_and_gradient``, its gradient
+as eps*[(alpha + beta h) W00 + (alpha - beta h) W11 + beta g01 W10
++ beta conj(g01) W01]. Either way the eigenvalues carry an absolute
+error of about 1e-16 times the term's weight, which moves the unsmoothed
+regime-B measure at small q, so the returned values are not the search's
+own: one batched SVD of every restart's last isometry (from a0, not P)
+scores it exactly, and the best restart is chosen on that score.
 
 ``decomposition_length`` is capped at side**2 (enough for an optimal
 decomposition) and ``restarts`` at ``MAX_RESTARTS``, which bounds every
@@ -63,6 +71,7 @@ MIN_DECREASE = 1e-14  # a restart stops once an accepted step gains less
 MIN_STEP = 1e-12  # ... or once backtracking shrinks the step below this
 BB_CLIP = (1e-10, 1e4)  # bounds on the Barzilai-Borwein trial step
 _SIGNS = np.array([1.0, -1.0])
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -125,31 +134,60 @@ def _blocks(u: np.ndarray, a0: np.ndarray, da: int, db: int) -> np.ndarray:
     return (u @ a0.T).reshape(n, length, da, db)  # block k is column k of phi
 
 
-def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
+def _kernel(a0: np.ndarray, da: int, db: int) -> np.ndarray:
+    """What every round of a search needs of a0: P when a side is a qubit, else a0.
+
+    A_j is the block of a0's column j, transposed when da > db so that it
+    is 2 x max(da, db); P[j, ab, l] = sum_c A_j[a, c] conj(A_l[b, c]) has
+    shape (rank, 4 rank), with ab = 2a + b.
+    """
+    if min(da, db) != 2:
+        return a0
+    a = a0.T.reshape(-1, da, db)
+    if da > db:
+        a = a.swapaxes(-1, -2)
+    return np.einsum("jac,lbc->jabl", a, a.conj()).reshape(len(a), -1)
+
+
+def _qubit_gram(u: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W = U P as (n, L, 4, rank), and each term's Gram entries g_ab = sum_l W_ab,l U*_l."""
+    n, length, rank = u.shape
+    w = (u.reshape(-1, rank) @ kernel).reshape(n, length, 4, rank)
+    return w, (w @ u.conj()[..., None])[..., 0]
+
+
+def _value_and_gradient(u: np.ndarray, kernel: np.ndarray, da: int, db: int,
                         q: float, s: float, eps: int,
                         floor: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Objective of each isometry in a stack u, and its gradient dh/dU*.
 
-    Term k is the da x db block M of phi = a0 U^T. Its spectrum lambda
-    (ascending) and eigenvectors V are those of the Gram matrix G on its
-    smaller side, M M† when da <= db, else the same on M^T, so lambda has
-    min(da, db) entries. With p = sum lambda and
-    t = sum (lambda/p)**q, the term's measure is p*eps*(1 - t**s), and
-    its Wirtinger gradient is eps*[(1 - (1-qs) t**s) M - V diag(w) V† M]
-    with w = qs t**(s-1) p**(1-q) lambda**(q-1); as V is unitary, both
-    parts are formed as one V diag(.) V† M. The weights are evaluated as
+    ``kernel`` is ``_kernel(a0, da, db)``. Term k is the da x db block M
+    of phi = a0 U^T. Its spectrum lambda (ascending) and eigenvectors V
+    are those of the Gram matrix G on its smaller side, M M† when
+    da <= db, else the same on M^T, so lambda has min(da, db) entries.
+    With p = sum lambda and t = sum (lambda/p)**q, the term's measure is
+    p*eps*(1 - t**s), and its Wirtinger gradient with respect to M* is
+    eps*[(1 - (1-qs) t**s) M - V diag(w) V† M] with
+    w = qs t**(s-1) p**(1-q) lambda**(q-1); as V is unitary, both parts
+    are formed as one V diag(.) V† M. The weights are evaluated as
     x0**(qs-1) tau**(s-1) r**(q-1), with x0 the largest lambda/p,
     r = lambda/lambda_max, tau = sum r**q and t = x0**q tau, which keeps
-    every power in [0, 1] for q >= 1.
+    every power in [0, 1] for q >= 1. The spectrum axis leads, so each
+    sum over it is an add of its columns.
 
-    When min(da, db) is 2 (2 x 2 up to 2 x 8 and 8 x 2 blocks), G is
+    When min(da, db) is 2 (2 x 2 up to 2 x 8 and 8 x 2 blocks), the round
+    never forms a block. M = sum_l U_l A_l with A_l the (transposed) block
+    of a0's column l, so with P from ``_kernel`` and W = U P, reshaped to
+    (n, L, 4, rank), G's entries are g_ab = sum_l W_ab,l U*_l. G is
     mid I + K with K = [[h, g01], [g01*, -h]] traceless, so
     lambda = mid -+ rad with rad = hypot(h, |g01|), and
     V diag(d-, d+) V† M = alpha M + beta K M with alpha = (d- + d+)/2 and
     beta = (d+ - d-)/(2 rad), or 0 where rad = 0 (then K = 0). K is
     formed from G's entries, never as G - mid I, so nearly degenerate
-    blocks lose nothing to cancellation. Larger blocks take one Hermitian
-    eigh of G.
+    blocks lose nothing to cancellation. Pulled back to U, the gradient
+    is eps*[(alpha + beta h) W00 + (alpha - beta h) W11
+    + beta g01 W10 + beta g01* W01]. Larger blocks take one Hermitian
+    eigh of G, and their gradient goes back to U through a0†.
 
     Either way the eigenvalues carry an absolute error of about 1e-16 p,
     so a value here can be off where the measure is steep at a zero
@@ -163,54 +201,55 @@ def _value_and_gradient(u: np.ndarray, a0: np.ndarray, da: int, db: int,
     unsmoothed measure for q >= 1.
     """
     n, length, rank = u.shape
-    blocks = _blocks(u, a0, da, db)
-    m = blocks if da <= db else blocks.swapaxes(-1, -2)
-    qubit = m.shape[-2] == 2
+    qubit = min(da, db) == 2
     if qubit:
-        g = np.einsum("...ij,...kj->...ik", m, m.conj())
-        g00, g11, g01 = g[..., 0, 0].real, g[..., 1, 1].real, g[..., 0, 1]
+        wk, g = _qubit_gram(u, kernel)
+        g00, g01, g11 = g[..., 0].real, g[..., 1], g[..., 3].real
         mid, h = (g00 + g11) / 2, (g00 - g11) / 2
         rad = np.hypot(h, np.abs(g01))
-        lam = mid[..., None] - rad[..., None] * _SIGNS
+        lam = mid - _SIGNS[:, None, None] * rad
     else:
+        m = _blocks(u, kernel, da, db)
+        if da > db:
+            m = m.swapaxes(-1, -2)
         lam, vec = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
+        lam = np.ascontiguousarray(lam.transpose(2, 0, 1))
     lam = np.fmax(lam, 0.0)
-    p = lam.sum(axis=-1)
+    p = lam.sum(axis=0)
     live = p >= WEIGHT_FLOOR
     # Dead terms get a harmless stand-in; their value and gradient are zeroed.
-    lam = np.where(live[..., None], lam, 1.0)
+    lam = np.where(live, lam, 1.0)
     p = np.where(live, p, 1.0)
     if floor is not None:
-        c = floor[:, None, None]
-        mix = 1.0 + lam.shape[-1] * c
-        lam = (lam + c * p[..., None]) / mix
-    r = lam / lam[..., -1:]
-    x0 = lam[..., -1] / p
-    tau = np.sum(r**q, axis=-1)
+        c = floor[:, None]
+        mix = 1.0 + len(lam) * c
+        lam = (lam + c * p) / mix
+    r = lam / lam[-1]
+    x0 = lam[-1] / p
+    tau = (r**q).sum(axis=0)
     ts = (tau * x0**q) ** s
-    value = eps * np.sum(np.where(live, p * (1.0 - ts), 0.0), axis=-1)
+    value = eps * np.where(live, p * (1.0 - ts), 0.0).sum(axis=-1)
     coef = q * s * x0 ** (q * s - 1) * tau ** (s - 1)
     if floor is None:
-        w = coef[..., None] * r ** (q - 1)
+        w = coef * r ** (q - 1)
     else:
-        w = coef[..., None] * np.power(r, q - 1, out=np.zeros_like(r), where=r > 0)
-        w = (w + c * w.sum(axis=-1, keepdims=True)) / mix
-    lin_w = np.where(live[..., None], (1.0 - (1.0 - q * s) * ts)[..., None] - w, 0.0)
+        w = coef * np.power(r, q - 1, out=np.zeros_like(r), where=r > 0)
+        w = (w + c * w.sum(axis=0)) / mix
+    lin_w = np.where(live, (1.0 - (1.0 - q * s) * ts) - w, 0.0)
     if qubit:
-        # (alpha I + beta K) M row by row: row i of M times alpha +- beta h,
-        # plus the other row times beta g01 or its conjugate.
-        lo, hi = lin_w[..., 0], lin_w[..., 1]
-        alpha = (lo + hi) / 2
-        beta = np.divide(hi - lo, 2 * rad, out=np.zeros_like(rad), where=rad > 0)
-        bg = (beta * g01)[..., None]
-        grad = (alpha[..., None] + (beta * h)[..., None] * _SIGNS)[..., None] * m
-        grad[..., 0, :] += bg * m[..., 1, :]
-        grad[..., 1, :] += bg.conj() * m[..., 0, :]
-    else:
-        grad = (vec * lin_w[..., None, :]) @ (vec.conj().swapaxes(-1, -2) @ m)
+        lo, hi = eps * lin_w
+        # Where 2 rad < tiny, rad is 0 or below mid's rounding (p >= WEIGHT_FLOOR
+        # on live terms), so lo == hi to the bit and beta = 0: the floor only
+        # keeps 0/0 out.
+        beta = (hi - lo) / np.fmax(2 * rad, _TINY)
+        bh, alpha = beta * h, (lo + hi) / 2
+        cw = beta[..., None] * g.conj()  # beta g01* for W01, beta g01 for W10
+        cw[..., 0], cw[..., 3] = alpha + bh, alpha - bh
+        return value, (cw[..., None, :] @ wk)[..., 0, :]
+    grad = (vec * lin_w.transpose(1, 2, 0)[..., None, :]) @ (vec.conj().swapaxes(-1, -2) @ m)
     if da > db:
         grad = grad.swapaxes(-1, -2)
-    return value, grad.reshape(n, length, da * db) @ (eps * a0.conj())
+    return value, grad.reshape(n, length, da * db) @ (eps * kernel.conj())
 
 
 def _measure(u: np.ndarray, a0: np.ndarray, da: int, db: int,
@@ -224,8 +263,12 @@ def _measure(u: np.ndarray, a0: np.ndarray, da: int, db: int,
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Real inner product Re tr(x† y) per stacked matrix."""
-    return np.einsum("nij,nij->n", x.conj(), y).real
+    """Real inner product Re tr(x† y) per stacked matrix, summed over float views.
+
+    Re(x* y) = Re x Re y + Im x Im y, so no conjugate is formed; the
+    views need each matrix's last axis contiguous.
+    """
+    return np.einsum("nij,nij->n", x.view(float), y.view(float))
 
 
 def _tangent(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -254,7 +297,7 @@ def _starts(seed: int, n: int, length: int, rank: int) -> np.ndarray:
     return np.concatenate([np.eye(length, rank, dtype=complex)[None], np.linalg.qr(z)[0]])
 
 
-def _descend(a0, cfg, length, rank, args, floors):
+def _descend(kernel, cfg, length, rank, args, floors):
     """Batched Riemannian gradient search; returns (u, xi2, evaluations).
 
     Each stage restarts the step rules from the current isometries under
@@ -265,9 +308,8 @@ def _descend(a0, cfg, length, rank, args, floors):
     n = cfg.restarts
     u = _starts(cfg.seed, n, length, rank)
     evaluations = 0
-    tiny = np.finfo(float).tiny
     for floor in floors:
-        f, g = _value_and_gradient(u, a0, *args, floor)
+        f, g = _value_and_gradient(u, kernel, *args, floor)
         xi = _tangent(u, g)
         xi2 = _inner(xi, xi)
         step = np.ones(n)
@@ -279,7 +321,7 @@ def _descend(a0, cfg, length, rank, args, floors):
             if idx.size == 0:
                 break
             trial = _retract(u[idx] - step[idx, None, None] * xi[idx])
-            ft, gt = _value_and_gradient(trial, a0, *args,
+            ft, gt = _value_and_gradient(trial, kernel, *args,
                                          None if floor is None else floor[idx])
             evaluations += idx.size
             # Along -xi the slope of f is -2|xi|^2, since xi projects df/dU*.
@@ -296,7 +338,7 @@ def _descend(a0, cfg, length, rank, args, floors):
             ss, yy = _inner(ds, ds), _inner(dy, dy)
             sy = np.abs(_inner(ds, dy))
             bb = np.where(accepted[acc] % 2 == 0,
-                          ss / np.maximum(sy, tiny), sy / np.maximum(yy, tiny))
+                          ss / np.maximum(sy, _TINY), sy / np.maximum(yy, _TINY))
             decrease = f[acc] - ft[ok]
             u[acc], xi[acc], f[acc] = u_new, xi_new, ft[ok]
             xi2[acc] = _inner(xi_new, xi_new)
@@ -335,7 +377,7 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
     n = cfg.restarts
     floors = ([None] if p.regime is measures.Regime.A else
               [10.0 ** -(2 + np.arange(n) % 3), np.full(n, 1e-6), np.zeros(n)])
-    u, xi2, evaluations = _descend(a0, cfg, length, rank, args, floors)
+    u, xi2, evaluations = _descend(_kernel(a0, da, db), cfg, length, rank, args, floors)
     values = _measure(u, a0, *args)
     best = int(np.argmin(values))
     best_phi = a0 @ u[best].T

@@ -146,6 +146,8 @@ class GenSchmidt3:
 
     def __post_init__(self):
         lams = self.lams
+        for x in (*lams, self.phi):
+            _require_real(x, "generalized-Schmidt parameter")
         if not all(math.isfinite(x) for x in (*lams, self.phi)):
             raise NonFiniteInputError(
                 f"generalized-Schmidt parameters must be finite, got {(*lams, self.phi)}"
@@ -161,17 +163,26 @@ class GenSchmidt3:
         return (self.lam0, self.lam1, self.lam2, self.lam3, self.lam4)
 
 
-def _group_coefficient_matrix(psi: PureState, split) -> np.ndarray:
-    """Reshape amplitudes into the (group, rest) coefficient matrix."""
-    if isinstance(split, (int, np.integer)):
-        group = [int(split)]
-    else:
-        group = [int(i) for i in split]
-    n = psi.n_parties
-    # The one split check: distinct indices forming a nonempty proper subset.
+def _split_group(split, n: int) -> list[int]:
+    """Indices of the block that ``split`` (an index or a sequence of them) names.
+
+    The one split check: integer indices, distinct, forming a nonempty
+    proper subset of range(n).
+    """
+    group = list(split) if np.iterable(split) else [split]
+    for i in group:
+        _require_int(i, "split index")
+    group = [int(i) for i in group]
     if len(set(group)) != len(group) or not set() < set(group) < set(range(n)):
         raise BadPartitionError(
             f"split {group} must be distinct indices in [0, {n}) leaving one outside")
+    return group
+
+
+def _group_coefficient_matrix(psi: PureState, split) -> np.ndarray:
+    """Reshape amplitudes into the (group, rest) coefficient matrix."""
+    n = psi.n_parties
+    group = _split_group(split, n)
     rest = [i for i in range(n) if i not in group]
     t = psi.amplitudes.reshape(psi.dims)
     t = np.transpose(t, group + rest)
@@ -254,6 +265,7 @@ def gen_schmidt3(params: GenSchmidt3) -> PureState:
 
 def haar_random_pure(dims, seed: int) -> PureState:
     """Pure state drawn from the unitarily invariant measure."""
+    _require_int(seed, "seed")
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(seed)
     n = math.prod(dims)
@@ -264,6 +276,8 @@ def haar_random_pure(dims, seed: int) -> PureState:
 
 def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-distributed d x d unitary (QR of a complex Gaussian, phase-fixed)."""
+    _require_int(d, "d")
+    _require_int(seed, "seed")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
@@ -272,6 +286,8 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
 
 def random_mixed(dims, rank: int, seed: int) -> DensityMatrix:
     """Seeded mixed state: Dirichlet(1,..,1) mixture of Haar pure states."""
+    _require_int(rank, "rank")
+    _require_int(seed, "seed")
     dims = tuple(int(d) for d in dims)
     n = math.prod(dims)
     if not 1 <= rank <= n:

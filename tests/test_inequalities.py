@@ -10,7 +10,9 @@ from qsconc.errors import (
     BadPartitionError,
     MixedGlobalStateError,
     MonogamyWindowError,
+    NotAStateError,
     NotQubitsError,
+    RangeError,
     UnsupportedRegimeError,
 )
 
@@ -120,6 +122,19 @@ class TestPolygonGroups:
             with pytest.raises(BadPartitionError):
                 inequalities.polygon_group_check(psi, g, p)
 
+    @pytest.mark.parametrize("group", [[True, 2.9], [0, 1.0], ["0", 1]])
+    def test_non_integer_group_rejected(self, group):
+        # Unchecked, [True, 2.9] was read as the group [1, 2].
+        psi = states.haar_random_pure((2, 3, 2), seed=0)
+        with pytest.raises(RangeError, match="integer"):
+            inequalities.polygon_group_check(psi, group, measures.classify(2, 1))
+
+    def test_numpy_integer_group_accepted(self):
+        psi = states.haar_random_pure((2, 3, 2), seed=0)
+        p = measures.classify(2, 1)
+        assert (inequalities.polygon_group_check(psi, np.array([0, 2]), p)
+                == inequalities.polygon_group_check(psi, [0, 2], p))
+
 
 class TestMonogamyQubits:
     def test_product_state_all_zero(self):
@@ -151,6 +166,12 @@ class TestMonogamyQubits:
         rho = states.random_mixed((2, 2, 2), 2, seed=1)
         with pytest.raises(MixedGlobalStateError):
             inequalities.monogamy_residual_qubits(rho, measures.classify(2, 1))
+
+    @pytest.mark.parametrize("state", [np.eye(4) / 4, [1, 0, 0, 0], None])
+    def test_rejects_non_state_input(self, state):
+        # Unchecked, this raised a bare TypeError (no exit code of its own).
+        with pytest.raises(NotAStateError):
+            inequalities.qubit_concurrences(state)
 
     def test_accepts_pure_density_input(self):
         psi = ghz(3)

@@ -127,20 +127,29 @@ class TestPinnedStreams:
     q = 1/2 amplifies it. It moved once more, from 0.12721826322482388,
     by -5.4e-9, when the search took the spectra of blocks with a qubit
     side in closed form (mid -+ rad) instead of from LAPACK's eigh, for
-    the same reason; the regime-A cases did not move. A change of the
-    per-restart RNG streams or of the step rules moves these values far
-    beyond the tolerance.
+    the same reason; the regime-A cases did not move. It moved again, from
+    0.12721825780218746, by +5.0e-9, when qubit-sided rounds took each
+    term's Gram entries from a per-search kernel matrix (g = U P U†)
+    instead of from the blocks themselves: the same rounding sensitivity
+    of the unsmoothed stage; the regime-A cases moved by less than 1e-15.
+    A change of the per-restart RNG streams or of the step rules moves
+    these values far beyond the tolerance.
     """
 
     @pytest.mark.parametrize("rho, qs, seed, expected", [
         (states.random_mixed((2, 2), 2, seed=7000), (2, 1), 11, 0.020210936945298845),
-        (states.random_mixed((2, 3), 3, seed=21), (0.5, 0.5), 4, 0.12721825780218746),
+        (states.random_mixed((2, 3), 3, seed=21), (0.5, 0.5), 4, 0.12721826285106158),
         (states.isotropic(0.8, 2), (3, 2), 9, 0.45921769238878446),
     ])
     def test_estimate_matches_record(self, rho, qs, seed, expected):
         cfg = roof.RoofConfig(restarts=3, iterations=150, seed=seed)
         res = roof.roof_estimate(rho, measures.classify(*qs), cfg)
         assert res.estimate == pytest.approx(expected, abs=1e-12)
+
+
+# Every shape with a qubit side up to roof.MAX_SIDE: the closed-form arm's domain.
+QUBIT_SIDED = ([(2, k) for k in range(2, roof.MAX_SIDE // 2 + 1)]
+               + [(k, 2) for k in range(3, roof.MAX_SIDE // 2 + 1)])
 
 
 def _floors(qs, n):
@@ -154,19 +163,20 @@ class TestKernel:
     """The Gram-spectrum kernel against a singular-value reference."""
 
     @pytest.mark.parametrize("qs", PAIRS)
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2),
+                                      (2, 8), (8, 2)])
     def test_matches_svd_reference(self, dims, qs):
-        rho = states.random_mixed(dims, 3, seed=4)
-        a0 = _scaled_eigenvectors(rho)
-        rng = np.random.default_rng(2)
-        shape = (2, 2 * a0.shape[1], a0.shape[1])
-        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         args = (*dims, *qs, measures.classify(*qs).epsilon)
-        for floor in (None, np.full(2, 1e-2), np.full(2, 1e-6)):
-            value, grad = roof._value_and_gradient(u, a0, *args, floor)
-            ref_value, ref_grad = _svd_value_and_gradient(u, a0, *args, floor)
-            np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=0)
+        for rank in (3, 1):  # rank 1: a pure state, so P is 1 x 4
+            a0 = _scaled_eigenvectors(states.random_mixed(dims, rank, seed=4))
+            rng = np.random.default_rng(2)
+            shape = (2, 2 * rank, rank)
+            u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for floor in (None, np.full(2, 1e-2), np.full(2, 1e-6)):
+                value, grad = roof._value_and_gradient(u, roof._kernel(a0, *dims), *args, floor)
+                ref_value, ref_grad = _svd_value_and_gradient(u, a0, *args, floor)
+                np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("qs", PAIRS)
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -188,13 +198,30 @@ class TestKernel:
         u, a0 = blocks.reshape(3, 2, da * db), np.eye(da * db)
         args = (*dims, *qs, measures.classify(*qs).epsilon)
         for floor in _floors(qs, 3):
-            value, grad = roof._value_and_gradient(u, a0, *args, floor)
+            value, grad = roof._value_and_gradient(u, roof._kernel(a0, *dims), *args, floor)
             ref_value, ref_grad = _svd_value_and_gradient(u, a0, *args, floor)
             np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0)
             # Gradient entries that are exactly 0 (a product term in regime
             # A) come out of the reference as rounding of the block's size.
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-14)
             assert not grad[2, 0].any()
+
+    @pytest.mark.parametrize("dims", QUBIT_SIDED)
+    def test_kernel_gram_matches_blocks(self, dims):
+        # The closed-form arm never forms a block: its Gram entries come from
+        # U, P = _kernel(a0) and W = U P. They are those of each block on its
+        # qubit side, M M† (M^T of a da x 2 block).
+        rho = states.random_mixed(dims, 3, seed=6)
+        a0 = _scaled_eigenvectors(rho)
+        rng = np.random.default_rng(3)
+        shape = (3, 2 * a0.shape[1], a0.shape[1])
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = roof._blocks(u, a0, *dims)
+        if dims[0] > dims[1]:
+            m = m.swapaxes(-1, -2)
+        gram = m @ m.conj().swapaxes(-1, -2)
+        _, g = roof._qubit_gram(u, roof._kernel(a0, *dims))
+        np.testing.assert_allclose(g, gram.reshape(*shape[:2], 4), rtol=0, atol=1e-13)
 
     def test_qubit_sided_blocks_skip_eigh(self, monkeypatch):
         # roof_estimate diagonalizes rho itself with eigh; only a stacked
@@ -237,8 +264,9 @@ class TestLocalUnitaryInvariance:
         local = np.kron(_haar_unitary(rng, da), _haar_unitary(rng, db))
         args = (da, db, *qs, measures.classify(*qs).epsilon)
         for floor in _floors(qs, 3):
-            value = roof._value_and_gradient(u, a0, *args, floor)[0]
-            moved = roof._value_and_gradient(u, local @ a0, *args, floor)[0]
+            value = roof._value_and_gradient(u, roof._kernel(a0, *dims), *args, floor)[0]
+            moved = roof._value_and_gradient(u, roof._kernel(local @ a0, *dims), *args,
+                                             floor)[0]
             np.testing.assert_allclose(moved, value, rtol=1e-12, atol=0)
         np.testing.assert_allclose(roof._measure(u, local @ a0, *args),
                                    roof._measure(u, a0, *args), rtol=1e-12, atol=0)
@@ -308,11 +336,12 @@ class TestGradientSearch:
                  for _ in range(2))
         args = (*dims, *qs, measures.classify(*qs).epsilon)
         floors = [None] if args[-1] > 0 else [None, np.zeros(2), np.full(2, 1e-2)]
+        kernel = roof._kernel(a0, *dims)
         for floor in floors:
-            _, grad = roof._value_and_gradient(u, a0, *args, floor)
+            _, grad = roof._value_and_gradient(u, kernel, *args, floor)
             h = 1e-6
-            plus, _ = roof._value_and_gradient(u + h * du, a0, *args, floor)
-            minus, _ = roof._value_and_gradient(u - h * du, a0, *args, floor)
+            plus, _ = roof._value_and_gradient(u + h * du, kernel, *args, floor)
+            minus, _ = roof._value_and_gradient(u - h * du, kernel, *args, floor)
             # f(U + h dU) - f(U) = 2 Re tr(G† dU) + O(h^2) for G = df/dU*.
             analytic = 2 * np.einsum("nij,nij->n", grad.conj(), du).real
             np.testing.assert_allclose((plus - minus) / (2 * h), analytic, rtol=1e-6)

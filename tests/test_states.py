@@ -57,6 +57,20 @@ class TestSchmidt:
         with pytest.raises(BadPartitionError):
             states.schmidt(psi, 5)
 
+    @pytest.mark.parametrize("split", [[1.7], 1.0, [True], True, "1", [0, "2"]])
+    def test_non_integer_split_rejected(self, split):
+        # Unchecked, [1.7] read as subsystem 1 and 1.0 raised a bare TypeError.
+        psi = states.haar_random_pure((2, 3, 2), seed=0)
+        with pytest.raises(RangeError, match="integer"):
+            states.schmidt(psi, split)
+
+    def test_numpy_integer_split_accepted(self):
+        psi = states.haar_random_pure((2, 3, 2), seed=0)
+        assert np.array_equal(states.schmidt(psi, np.int64(1)).values,
+                              states.schmidt(psi, 1).values)
+        assert np.array_equal(states.schmidt(psi, np.array([0, 2])).values,
+                              states.schmidt(psi, [0, 2]).values)
+
 
 class TestMaxEntangled:
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -222,6 +236,18 @@ class TestGenSchmidt3:
         with pytest.raises(NonFiniteInputError):
             states.GenSchmidt3(*vals[:5], phi=vals[5])
 
+    @pytest.mark.parametrize("vals", [(True, 0, 0, 0, 0), ("1", 0, 0, 0, 0),
+                                      (1.0, 0, 0, 0, None), (1.0, 0, 0, 0, 0, "0")])
+    def test_ill_typed_parameter_rejected(self, vals):
+        # Unchecked, True built |000> and a string raised a bare TypeError.
+        with pytest.raises(RangeError, match="real number"):
+            states.GenSchmidt3(*vals)
+
+    def test_numpy_parameters_accepted(self):
+        p = states.GenSchmidt3(np.float64(0.6), np.float64(0.8), np.int64(0), 0, 0,
+                               phi=np.float32(0.5))
+        assert sum(l * l for l in p.lams) == pytest.approx(1.0, abs=1e-12)
+
     def test_phase_enters_amplitude(self):
         psi = states.gen_schmidt3(
             states.GenSchmidt3(0.6, 0.8, 0, 0, 0, phi=np.pi / 2)
@@ -249,6 +275,30 @@ class TestHaarSampling:
             lam = states.schmidt(psi).values
             total += float(np.sum(lam**2))
         assert total / n == pytest.approx(0.8, abs=0.02)
+
+
+class TestSamplerArguments:
+    @pytest.mark.parametrize("call", [
+        lambda bad: states.haar_random_pure((2, 2), seed=bad),
+        lambda bad: states.random_mixed((2, 2), bad, seed=0),
+        lambda bad: states.random_mixed((2, 2), 2, seed=bad),
+        lambda bad: states.haar_random_unitary(bad, seed=0),
+        lambda bad: states.haar_random_unitary(2, seed=bad),
+    ], ids=["pure-seed", "mixed-rank", "mixed-seed", "unitary-d", "unitary-seed"])
+    @pytest.mark.parametrize("bad", [1.5, 2.5, True, 2.0, "2"])
+    def test_non_integer_counts_rejected(self, call, bad):
+        # Unchecked, each raised a bare TypeError or read True as 1.
+        with pytest.raises(RangeError, match="integer"):
+            call(bad)
+
+    def test_numpy_integers_accepted(self):
+        a = states.random_mixed((2, 2), np.int64(2), seed=np.int32(3))
+        assert np.array_equal(a.matrix, states.random_mixed((2, 2), 2, seed=3).matrix)
+        u = states.haar_random_unitary(np.int64(3), seed=np.uint8(1))
+        assert np.array_equal(u, states.haar_random_unitary(3, seed=1))
+        psi = states.haar_random_pure((2, 2), seed=np.int64(5))
+        assert np.array_equal(psi.amplitudes,
+                              states.haar_random_pure((2, 2), seed=5).amplitudes)
 
 
 class TestRandomMixed:
