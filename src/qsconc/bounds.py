@@ -67,14 +67,14 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, linalg, states
-from .closed_forms import _float_if_0d, _in_range, _pow, _real
+from .closed_forms import _float_if_0d, _pow
 from .errors import (
-    DimensionMismatchError,
     NoApplicableBoundError,
     RangeError,
     RegimeABoundWindowError,
     RegimeBBoundWindowError,
 )
+from .errors import _in_range, _real, _require_int
 from .measures import ParamPair, Regime
 
 DETECTION_TOL = 1e-9
@@ -106,9 +106,7 @@ class BoundReport:
 
 def detect(rho: states.DensityMatrix) -> BoundReport:
     """Compute both reshuffle norms and which criterion (if any) fires."""
-    if rho.n_parties != 2:
-        raise DimensionMismatchError(f"need a bipartite state, dims={rho.dims}")
-    da, db = rho.dims
+    da, db = states._bipartite_dims(rho)
     ppt = linalg.trace_norm(linalg.partial_transpose(rho.matrix, (da, db)))
     rea = linalg.trace_norm(linalg.realign(rho.matrix, (da, db)))
     ppt_hit = ppt > 1.0 + DETECTION_TOL
@@ -144,8 +142,7 @@ def _require_regime_a(m: int, p: ParamPair) -> None:
             f"(q, s) = ({p.q}, {p.s}) outside both regime-A windows: "
             f"need q >= 2 with s >= {REGIME_A_MIN_S} or s >= 1 with q >= {REGIME_A_MIN_Q}"
         )
-    if m < 2:
-        raise RangeError(f"need m >= 2, got {m}")
+    _require_int(m, "m", 2)
 
 
 def bound_value_regime_a(norm, m: int, p: ParamPair):
@@ -184,6 +181,7 @@ def bound_value_tight(norm, m: int, p: ParamPair):
     array. Raises ``RangeError`` for a norm outside [0, m] or m < 2, and
     ``ClosedFormWindowError`` outside q > 1, q*s >= 1.
     """
+    m = _require_int(m, "m", 2)
     norm = _in_range(norm, 0.0, m, "norm", f"[0, m] for m = {m}")
     return closed_forms.isotropic_envelope(p.q, p.s, m, "tangent")(norm / m)
 
@@ -200,8 +198,7 @@ def _require_regime_b(m: int, p: ParamPair) -> None:
         raise RegimeBBoundWindowError(
             "outside the regime-B bound window: " + "; ".join(failed)
         )
-    if m < 2:
-        raise RangeError(f"need m >= 2, got {m}")
+    _require_int(m, "m", 2)
 
 
 def bound_value_regime_b(norm, m: int, p: ParamPair):

@@ -36,6 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ClosedFormWindowError, NonFiniteError, RangeError
+from .errors import _in_range, _require_int, _require_real
 
 SECOND_DIFF_STEP = 1e-4
 BREAKPOINT_SAMPLES = 800
@@ -50,7 +51,11 @@ CHORD_ROUNDS = 3
 MAX_ISOTROPIC_D = 10**9
 
 
-def _require_closed_form_params(q: float, s: float) -> None:
+def _require_closed_form_params(q: float, s: float, method: str = "inflection") -> None:
+    _require_real(q, "q")
+    _require_real(s, "s")
+    if not isinstance(method, str) or method not in ("inflection", "tangent"):
+        raise RangeError(f"unknown envelope method {method!r}")
     if not (q > 1 and q * s >= 1):
         raise ClosedFormWindowError(
             f"closed forms need q > 1 and q*s >= 1, got (q, s) = ({q}, {s})"
@@ -73,38 +78,12 @@ def _float_if_0d(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _real(x):
-    """``x`` as float64, a 0-d one as a numpy scalar, whose operators are cheap.
-
-    Strings, booleans and other non-numbers raise ``RangeError`` rather
-    than being converted.
-    """
-    a = np.asarray(x)
-    if a.dtype.kind not in "iuf":
-        raise RangeError(f"expected a real number or an array of them, got dtype {a.dtype}")
-    return np.asarray(a, dtype=float)[()]
-
-
-def _in_range(x, lo: float, hi: float, what: str, interval: str):
-    """``_real(x)``, range-checked.
-
-    A ``RangeError`` "{what} {entry} outside {interval}" names the first
-    entry outside [lo, hi], NaN included.
-    """
-    x = _real(x)
-    outside = ~((lo <= x) & (x <= hi))
-    if np.count_nonzero(outside):
-        raise RangeError(f"{what} {x[outside][0]} outside {interval}")
-    return x
-
-
 def isotropic_gamma_delta(f, d: int):
     """Extremal Schmidt amplitudes (gamma, delta) at fidelity f (scalar or array).
 
     Defined for d >= 2 and f in [0, 1].
     """
-    if d < 2:
-        raise RangeError(f"need d >= 2, got {d}")
+    d = _require_int(d, "d", 2)
     return _gamma_delta(_in_range(f, 0.0, 1.0 + 1e-12, "fidelity", "[0, 1]"), d)
 
 
@@ -123,8 +102,7 @@ def isotropic_curve(f, q: float, s: float, d: int):
     threshold f = 1/d. ``f`` may be an array.
     """
     _require_closed_form_params(q, s)
-    if d < 2:
-        raise RangeError(f"need d >= 2, got {d}")
+    d = _require_int(d, "d", 2)
     f = _in_range(f, 1.0 / d - 1e-12, 1.0 + 1e-12, "fidelity", f"[1/{d}, 1]")
     gamma, delta = _gamma_delta(np.minimum(np.maximum(f, 1.0 / d), 1.0), d)
     t = _pow(gamma, 2 * q) + (d - 1) * _pow(np.fmax(delta, 0.0), 2 * q)
@@ -317,22 +295,20 @@ def build_envelope(curve: Callable, domain: tuple[float, float],
 def isotropic_envelope(q: float, s: float, d: int,
                        method: str = "inflection") -> EnvelopeCurve:
     """Envelope of the isotropic curve over fidelity in [1/d, 1]."""
-    return _isotropic_envelope(q, s, d, method)
+    _require_closed_form_params(q, s, method)
+    return _isotropic_envelope(q, s, _require_int(d, "d", 2, MAX_ISOTROPIC_D), method)
 
 
 def werner_envelope(q: float, s: float, method: str = "inflection") -> EnvelopeCurve:
     """Envelope of the Werner curve over weight in [1/2, 1]."""
+    _require_closed_form_params(q, s, method)
     return _werner_envelope(q, s, method)
 
 
-# The caches sit behind the public names so that every spelling of
-# ``method`` (default, positional, keyword) reaches one cache entry.
+# The caches sit behind the public names, which check every argument, so
+# every spelling of ``method`` (default, positional, keyword) reaches one entry.
 @lru_cache(maxsize=128)
 def _isotropic_envelope(q: float, s: float, d: int, method: str) -> EnvelopeCurve:
-    _require_closed_form_params(q, s)
-    if not 2 <= d <= MAX_ISOTROPIC_D:
-        raise RangeError(f"need 2 <= d <= {MAX_ISOTROPIC_D}, got {d}")
-
     def curve(f: float) -> float:
         return isotropic_curve(f, q, s, d)
 
@@ -341,8 +317,6 @@ def _isotropic_envelope(q: float, s: float, d: int, method: str) -> EnvelopeCurv
 
 @lru_cache(maxsize=128)
 def _werner_envelope(q: float, s: float, method: str) -> EnvelopeCurve:
-    _require_closed_form_params(q, s)
-
     def curve(w: float) -> float:
         return werner_curve(w, q, s)
 
@@ -383,8 +357,8 @@ def isotropic_extremum_oracle(f: float, q: float, s: float, d: int) -> Isotropic
     1 <= n <= f*d and f*d <= n+m <= d, and returns the minimizing one.
     """
     _require_closed_form_params(q, s)
-    if d < 2:
-        raise RangeError(f"need d >= 2, got {d}")
+    d = _require_int(d, "d", 2)
+    _require_real(f, "fidelity")
     if not 1.0 / d < f <= 1.0 + 1e-12:
         raise RangeError(f"fidelity {f} outside (1/{d}, 1]")
     f = min(f, 1.0)

@@ -112,12 +112,45 @@ class TooLargeError(ParamsError):
 
 # Scalar entry checks: Python and numpy ints and floats pass, a string, None
 # or bool does not. A Python float costs one type test; sweeps make thousands.
-def _require_real(x, what: str) -> None:
+# The optional range is [lo, hi] or [lo, inf), and NaN is outside every range.
+def _require_real(x, what: str, lo=None, hi=None):
+    """``x``, a real scalar in the range; with no range given, NaN and inf pass."""
     if type(x) is not float and (
             isinstance(x, bool) or not isinstance(x, (float, int, np.floating, np.integer))):
         raise RangeError(f"{what} must be a real number, got {x!r}")
+    if (lo is not None and not lo <= x) or (hi is not None and not x <= hi):
+        need = f"{what} >= {lo}" if hi is None else f"{lo} <= {what} <= {hi}"
+        raise RangeError(f"need {need}, got {x}")
+    return x
 
 
-def _require_int(x, what: str) -> None:
+def _require_int(x, what: str, lo=None, hi=None) -> int:
+    """``int(x)``, an integer scalar in the range."""
     if type(x) is not int and (isinstance(x, bool) or not isinstance(x, (int, np.integer))):
         raise RangeError(f"{what} must be an integer, got {x!r}")
+    return _require_real(int(x), what, lo, hi)
+
+
+def _real(x):
+    """``x`` as float64, a 0-d one as a numpy scalar, whose operators are cheap.
+
+    Strings, booleans and other non-numbers raise ``RangeError`` rather
+    than being converted.
+    """
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise RangeError(f"expected a real number or an array of them, got dtype {a.dtype}")
+    return np.asarray(a, dtype=float)[()]
+
+
+def _in_range(x, lo: float, hi: float, what: str, interval: str):
+    """``_real(x)``, range-checked.
+
+    A ``RangeError`` "{what} {entry} outside {interval}" names the first
+    entry outside [lo, hi], NaN included.
+    """
+    x = _real(x)
+    outside = ~((lo <= x) & (x <= hi))
+    if np.count_nonzero(outside):
+        raise RangeError(f"{what} {x[outside][0]} outside {interval}")
+    return x

@@ -36,6 +36,7 @@ from .errors import (
     NotPSDError,
     RangeError,
 )
+from .errors import _require_int, _require_real
 
 HERMITIAN_TOL = 1e-9
 EIGENVALUE_CLAMP = 1e-10
@@ -101,8 +102,7 @@ def trace_norm(m) -> float:
 
 def schatten_norm(m, q: float) -> float:
     """Schatten q-norm (tr M^q)^(1/q) of a PSD matrix, q >= 1."""
-    if q < 1:
-        raise RangeError(f"Schatten norm needs q >= 1, got {q}")
+    _require_real(q, "Schatten norm q", 1)
     w = hermitian_eigenvalues(m)
     if w.size and w[-1] < -1e-9:
         raise NotPSDError(f"eigenvalue {w[-1]:.3e} below PSD tolerance")
@@ -116,7 +116,7 @@ def kron(a, b) -> np.ndarray:
 
 
 def _check_bipartite(rho: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
-    da, db = int(dims[0]), int(dims[1])
+    da, db = _require_int(dims[0], "dimension", 1), _require_int(dims[1], "dimension", 1)
     if rho.shape[0] != rho.shape[1]:
         raise NonSquareError(f"matrix is {rho.shape[0]}x{rho.shape[1]}")
     if da * db != rho.shape[0]:

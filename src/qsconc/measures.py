@@ -26,6 +26,7 @@ from . import linalg, states
 from .errors import (
     BridgeWindowError,
     DimensionMismatchError,
+    NotAStateError,
     NotPSDError,
     NotQubitSideError,
     RangeError,
@@ -133,11 +134,9 @@ def concurrence_bridge(x: float, p: ParamPair) -> float:
     measure holds inside ``bridge_window``, and monogamy sweeps evaluate
     the formula beyond it.
     """
-    _require_real(x, "concurrence")
+    _require_real(x, "concurrence", -1e-9, 1 + 1e-9)
     if p.q == 1.0:
         raise RangeError("bridge is singular at q = 1")
-    if not -1e-9 <= x <= 1 + 1e-9:
-        raise RangeError(f"concurrence must be in [0, 1], got {x}")
     x = min(max(x, 0.0), 1.0)
     r = math.sqrt(max(0.0, 1.0 - x * x))
     t = ((1.0 + r) / 2.0) ** p.q + ((1.0 - r) / 2.0) ** p.q
@@ -161,6 +160,8 @@ def wootters_concurrence(rho) -> float:
         if rho.dims != (2, 2):
             raise DimensionMismatchError(f"need a 2x2 system, dims={rho.dims}")
         m = rho.matrix
+    elif isinstance(rho, states.PureState):
+        raise NotAStateError("need a two-qubit density matrix, got a PureState")
     else:
         m = np.asarray(rho, dtype=complex)
         if m.shape != (4, 4):

@@ -54,7 +54,6 @@ import numpy as np
 
 from . import bounds, measures, states
 from .errors import (
-    DimensionMismatchError,
     NumericError,
     RangeError,
     TooLargeError,
@@ -83,29 +82,22 @@ class RoofConfig:
     tolerance: float = 1e-6  # see RoofResult.converged
 
     def __post_init__(self):
-        for name in ("restarts", "iterations", "seed"):
-            _require_int(getattr(self, name), name)
+        _require_int(self.restarts, "restarts", 1, MAX_RESTARTS)
+        _require_int(self.iterations, "iterations", 0)
+        _require_int(self.seed, "seed", 0)
         if self.decomposition_length is not None:
             _require_int(self.decomposition_length, "decomposition_length")
-        _require_real(self.tolerance, "tolerance")
-        if not 1 <= self.restarts <= MAX_RESTARTS:
-            raise RangeError(
-                f"restarts must be in [1, {MAX_RESTARTS}], got {self.restarts}"
-            )
-        if self.iterations < 0:
-            raise RangeError(f"iterations must be nonnegative, got {self.iterations}")
-        if self.seed < 0:
-            raise RangeError(f"seed must be nonnegative, got {self.seed}")
-        if not 0.0 <= self.tolerance < math.inf:
-            raise RangeError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
+        _require_real(self.tolerance, "tolerance", 0, np.finfo(float).max)
 
 
 @dataclass(frozen=True)
 class RoofResult:
     """Best decomposition found, with the search's diagnostics.
 
-    ``converged`` means that the best restart ended its last stage with a
-    projected-gradient norm at most ``tolerance``. ``evaluations`` counts
+    ``converged`` flags a stationary point, not a right estimate: the best
+    restart ended its last stage with a projected-gradient norm at most
+    ``tolerance``, which the unsmoothed regime-B stage does not reach for
+    q <= 1/2 even where the estimate is right. ``evaluations`` counts
     the isometries whose objective and gradient were computed: one per
     restart at the start of each stage, then one per active restart per
     round, so at most restarts * (iterations + stages), with one stage in
@@ -356,9 +348,7 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
         raise UnsupportedRegimeError(
             f"(q, s) = ({p.q}, {p.s}) is in neither admissible regime"
         )
-    if rho.n_parties != 2:
-        raise DimensionMismatchError(f"need a bipartite state, dims={rho.dims}")
-    da, db = rho.dims
+    da, db = states._bipartite_dims(rho)
     side = da * db
     if side > MAX_SIDE:
         raise TooLargeError(f"side {side} exceeds the supported maximum {MAX_SIDE}")

@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteInputError,
     NonHermitianError,
+    NotAStateError,
     NotNormalizedError,
     NotPSDError,
     RangeError,
@@ -41,6 +42,11 @@ from .errors import (
 NORM_TOL = 1e-9
 
 
+def _dims(dims) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple of ints, each an integer >= 1."""
+    return tuple(_require_int(d, "dimension", 1) for d in dims)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over subsystems of dimensions ``dims``."""
@@ -49,11 +55,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _dims(self.dims))
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
-        if any(d < 1 for d in self.dims):
-            raise DimensionMismatchError(f"invalid dims {self.dims}")
         if math.prod(self.dims) != amps.size:
             raise DimensionMismatchError(
                 f"dims {self.dims} need {math.prod(self.dims)} amplitudes, got {amps.size}"
@@ -84,7 +88,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _dims(self.dims))
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         side = math.prod(self.dims)
@@ -170,9 +174,7 @@ def _split_group(split, n: int) -> list[int]:
     proper subset of range(n).
     """
     group = list(split) if np.iterable(split) else [split]
-    for i in group:
-        _require_int(i, "split index")
-    group = [int(i) for i in group]
+    group = [_require_int(i, "split index") for i in group]
     if len(set(group)) != len(group) or not set() < set(group) < set(range(n)):
         raise BadPartitionError(
             f"split {group} must be distinct indices in [0, {n}) leaving one outside")
@@ -181,6 +183,8 @@ def _split_group(split, n: int) -> list[int]:
 
 def _group_coefficient_matrix(psi: PureState, split) -> np.ndarray:
     """Reshape amplitudes into the (group, rest) coefficient matrix."""
+    if not isinstance(psi, PureState):
+        raise NotAStateError(f"expected a PureState, got {type(psi).__name__}")
     n = psi.n_parties
     group = _split_group(split, n)
     rest = [i for i in range(n) if i not in group]
@@ -208,11 +212,18 @@ def reduced_state(psi: PureState, split) -> np.ndarray:
     return m @ m.conj().T
 
 
+def _bipartite_dims(rho: DensityMatrix) -> tuple[int, int]:
+    """(da, db) of a two-party density matrix."""
+    if not isinstance(rho, DensityMatrix):
+        raise NotAStateError(f"expected a DensityMatrix, got {type(rho).__name__}")
+    if rho.n_parties != 2:
+        raise DimensionMismatchError(f"need a bipartite state, dims={rho.dims}")
+    return rho.dims
+
+
 def max_entangled(d: int) -> PureState:
     """(1/sqrt(d)) sum_i |ii> on C^d x C^d."""
-    _require_int(d, "d")
-    if d < 2:
-        raise RangeError(f"need d >= 2, got {d}")
+    d = _require_int(d, "d", 2)
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1 / math.sqrt(d)
     return PureState((d, d), v)
@@ -220,9 +231,7 @@ def max_entangled(d: int) -> PureState:
 
 def isotropic(f: float, d: int) -> DensityMatrix:
     """Isotropic state with fidelity ``f`` to the maximally entangled state."""
-    _require_real(f, "fidelity")
-    if not 0.0 <= f <= 1.0:
-        raise RangeError(f"fidelity must be in [0, 1], got {f}")
+    _require_real(f, "fidelity", 0, 1)
     p = max_entangled(d).projector()  # checks d
     eye = np.eye(d * d, dtype=complex)
     rho = (1.0 - f) / (d * d - 1) * (eye - p) + f * p
@@ -235,12 +244,8 @@ def werner(w: float, d: int) -> DensityMatrix:
     rho = a I + b F with F the swap |ik> -> |ki>: weight 2(1-w)/(d(d+1)) on
     the symmetric subspace and 2w/(d(d-1)) on the antisymmetric one.
     """
-    _require_real(w, "w")
-    _require_int(d, "d")
-    if not 0.0 <= w <= 1.0:
-        raise RangeError(f"w must be in [0, 1], got {w}")
-    if d < 2:
-        raise RangeError(f"need d >= 2, got {d}")
+    _require_real(w, "w", 0, 1)
+    d = _require_int(d, "d", 2)
     sym_w = 2.0 * (1.0 - w) / (d * (d + 1))
     asym_w = 2.0 * w / (d * (d - 1))
     n = d * d
@@ -265,8 +270,8 @@ def gen_schmidt3(params: GenSchmidt3) -> PureState:
 
 def haar_random_pure(dims, seed: int) -> PureState:
     """Pure state drawn from the unitarily invariant measure."""
-    _require_int(seed, "seed")
-    dims = tuple(int(d) for d in dims)
+    _require_int(seed, "seed", 0)
+    dims = _dims(dims)
     rng = np.random.default_rng(seed)
     n = math.prod(dims)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -276,8 +281,8 @@ def haar_random_pure(dims, seed: int) -> PureState:
 
 def haar_random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-distributed d x d unitary (QR of a complex Gaussian, phase-fixed)."""
-    _require_int(d, "d")
-    _require_int(seed, "seed")
+    d = _require_int(d, "d", 1)
+    _require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
@@ -286,12 +291,10 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
 
 def random_mixed(dims, rank: int, seed: int) -> DensityMatrix:
     """Seeded mixed state: Dirichlet(1,..,1) mixture of Haar pure states."""
-    _require_int(rank, "rank")
-    _require_int(seed, "seed")
-    dims = tuple(int(d) for d in dims)
+    _require_int(seed, "seed", 0)
+    dims = _dims(dims)
     n = math.prod(dims)
-    if not 1 <= rank <= n:
-        raise RangeError(f"rank must be in [1, {n}], got {rank}")
+    rank = _require_int(rank, "rank", 1, n)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(rank))
     rho = np.zeros((n, n), dtype=complex)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsconc import bounds, closed_forms as cf, measures, states
+from qsconc import bounds, closed_forms as cf, measures, roof, states
 from qsconc.errors import (
     ClosedFormWindowError,
     NoApplicableBoundError,
@@ -366,6 +366,19 @@ class TestTightBound:
         lower = bounds.bound_value_tight(np.minimum(norms, m), m, p)
         exact = np.array([measures.unified_functional(lam, p) for lam in spectra])
         assert (lower <= exact + 1e-9).all(), (lower - exact).max()
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), rank=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1), q=st.floats(1.1, 6.0),
+           s_over_min=st.floats(1.0, 3.0))
+    def test_below_roof_on_mixed_states(self, dims, rank, seed, q, s_over_min):
+        # The roof estimate is an upper estimate of the measure, so a sound
+        # lower bound stays below it on every state, however short the search.
+        p = measures.classify(q, s_over_min / q)
+        rho = states.random_mixed(dims, rank, seed=seed)
+        lower = bounds.bound_value_tight(bounds.detect(rho).max_norm, min(dims), p)
+        upper = roof.roof_estimate(rho, p, roof.RoofConfig(restarts=2, iterations=150))
+        assert lower <= upper.estimate + 1e-9, (lower, upper.estimate)
 
     def test_norm_outside_range_is_range_error(self):
         p = measures.classify(2, 1.5)

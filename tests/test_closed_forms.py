@@ -296,6 +296,18 @@ class TestEnvelope:
             cf.werner_envelope.cache_clear()
         assert builds == ["inflection", "tangent"] * 2
 
+    @pytest.mark.parametrize("call", [
+        lambda: cf.isotropic_envelope(2, 2, [3]),
+        lambda: cf.isotropic_envelope(np.array(2.0), 2, 3),
+        lambda: cf.werner_envelope([2], 2),
+        lambda: cf.werner_envelope(3, 2, ["tangent"]),
+    ], ids=["list-d", "array-q", "list-q", "list-method"])
+    def test_arguments_checked_before_the_cache(self, call):
+        # An unhashable argument used to reach the lru_cache, which raised
+        # TypeError: unhashable type.
+        with pytest.raises(RangeError):
+            call()
+
 
 class TestPublishedEnvelopeExcess:
     """The published (inflection) envelope's excess over the exact (tangent)
