@@ -75,7 +75,7 @@ from .errors import (
     RegimeBBoundWindowError,
 )
 from .errors import _in_range, _real, _require_int
-from .measures import ParamPair, Regime
+from .measures import ParamPair, Regime, _params
 
 DETECTION_TOL = 1e-9
 
@@ -123,26 +123,17 @@ def detect(rho: states.DensityMatrix) -> BoundReport:
 
 
 def in_regime_a_window(p: ParamPair) -> bool:
-    return p.regime is Regime.A and (
+    return _params(p).regime is Regime.A and (
         (p.q >= 2 and p.s >= REGIME_A_MIN_S) or (p.s >= 1 and p.q >= REGIME_A_MIN_Q)
     )
 
 
 def in_regime_b_window(p: ParamPair) -> bool:
     return (
-        p.regime is Regime.B
+        _params(p).regime is Regime.B
         and 0 < p.s < REGIME_B_MAX_S
         and 0 < p.q * p.s < REGIME_B_MAX_S
     )
-
-
-def _require_regime_a(m: int, p: ParamPair) -> None:
-    if not in_regime_a_window(p):
-        raise RegimeABoundWindowError(
-            f"(q, s) = ({p.q}, {p.s}) outside both regime-A windows: "
-            f"need q >= 2 with s >= {REGIME_A_MIN_S} or s >= 1 with q >= {REGIME_A_MIN_Q}"
-        )
-    _require_int(m, "m", 2)
 
 
 def bound_value_regime_a(norm, m: int, p: ParamPair):
@@ -157,7 +148,9 @@ def bound_value_regime_a(norm, m: int, p: ParamPair):
     where g is undefined, and for a string, boolean or other non-number
     norm. ``norm`` may be an array.
     """
-    _require_regime_a(m, p)
+    _params(p, in_regime_a_window, RegimeABoundWindowError, "both regime-A bound windows: "
+            f"q >= 2 with s >= {REGIME_A_MIN_S} or s >= 1 with q >= {REGIME_A_MIN_Q}")
+    _require_int(m, "m", 2)
     norm = _real(norm)
     # g is exactly 0 at norm 1, so smaller norms are lifted to 1. A norm
     # whose square overflows gets ratio inf and fails the range check below.
@@ -181,24 +174,10 @@ def bound_value_tight(norm, m: int, p: ParamPair):
     array. Raises ``RangeError`` for a norm outside [0, m] or m < 2, and
     ``ClosedFormWindowError`` outside q > 1, q*s >= 1.
     """
+    p = _params(p)
     m = _require_int(m, "m", 2)
     norm = _in_range(norm, 0.0, m, "norm", f"[0, m] for m = {m}")
     return closed_forms.isotropic_envelope(p.q, p.s, m, "tangent")(norm / m)
-
-
-def _require_regime_b(m: int, p: ParamPair) -> None:
-    if not in_regime_b_window(p):
-        failed = []
-        if not (0 < p.q < 1):
-            failed.append(f"q={p.q} not in (0, 1)")
-        if not (0 < p.s < REGIME_B_MAX_S):
-            failed.append(f"s={p.s} not in (0, {REGIME_B_MAX_S})")
-        if not (0 < p.q * p.s < REGIME_B_MAX_S):
-            failed.append(f"q*s={p.q * p.s} not in (0, {REGIME_B_MAX_S})")
-        raise RegimeBBoundWindowError(
-            "outside the regime-B bound window: " + "; ".join(failed)
-        )
-    _require_int(m, "m", 2)
 
 
 def bound_value_regime_b(norm, m: int, p: ParamPair):
@@ -211,7 +190,9 @@ def bound_value_regime_b(norm, m: int, p: ParamPair):
     are pinned in ``tests/test_bounds.py``. ``norm`` may be an array; a
     string, boolean or other non-number raises ``RangeError``.
     """
-    _require_regime_b(m, p)
+    _params(p, in_regime_b_window, RegimeBBoundWindowError, "the regime-B bound window: "
+            f"0 < q < 1, 0 < s < {REGIME_B_MAX_S}, 0 < q*s < {REGIME_B_MAX_S}")
+    _require_int(m, "m", 2)
     norm = _real(norm)
     q, s = p.q, p.s
     pref = (float(m) ** (s * (1.0 - q)) - 1.0) / (float(m) ** s - 1.0)

@@ -131,6 +131,16 @@ def _require_int(x, what: str, lo=None, hi=None) -> int:
     return _require_real(int(x), what, lo, hi)
 
 
+def _require_dims(dims, parties=None) -> tuple[int, ...]:
+    """``dims`` as a tuple of integers >= 1: ``parties`` of them, or one or more."""
+    if isinstance(dims, (str, bytes)) or not np.iterable(dims):
+        raise RangeError(f"dims must be a sequence of integers, got {dims!r}")
+    dims = tuple(_require_int(d, "dimension", 1) for d in dims)
+    if not dims or parties is not None and len(dims) != parties:
+        raise RangeError(f"need {parties or 'one or more'} dimensions, got {dims}")
+    return dims
+
+
 def _real(x):
     """``x`` as float64, a 0-d one as a numpy scalar, whose operators are cheap.
 

@@ -31,7 +31,7 @@ from .errors import (
     NotQubitsError,
     UnsupportedRegimeError,
 )
-from .measures import ParamPair, Regime
+from .measures import ParamPair, Regime, _params
 
 POLYGON_TOL = 1e-9  # slack on each polygon inequality, for round-off
 
@@ -53,11 +53,12 @@ class MonogamyReport:
     tau: float
 
 
+def _in_regime_a(p: ParamPair) -> bool:
+    return p.regime is Regime.A
+
+
 def _require_regime_a(p: ParamPair) -> None:
-    if p.regime is not Regime.A:
-        raise UnsupportedRegimeError(
-            f"(q, s) = ({p.q}, {p.s}) must satisfy q >= 1 and q*s >= 1"
-        )
+    _params(p, _in_regime_a, UnsupportedRegimeError, "regime A: q >= 1, q*s >= 1")
 
 
 def marginal_cqs(psi: states.PureState, j: int, p: ParamPair) -> float:
@@ -69,7 +70,7 @@ def marginal_cqs(psi: states.PureState, j: int, p: ParamPair) -> float:
 def polygon_check(psi: states.PureState, p: ParamPair) -> PolygonReport:
     """Verify every one-to-rest marginal against the sum of the others."""
     _require_regime_a(p)
-    n = psi.n_parties
+    n = states._pure_parties(psi)
     if n < 3:
         raise BadPartitionError(f"polygon check needs n >= 3 parties, got {n}")
     marg = [marginal_cqs(psi, j, p) for j in range(n)]
@@ -86,7 +87,7 @@ def polygon_group_check(psi: states.PureState, group, p: ParamPair) -> PolygonRe
     a violation is flagged under index 0.
     """
     _require_regime_a(p)
-    group = states._split_group(group, psi.n_parties)
+    group = states._split_group(group, states._pure_parties(psi))
     lhs = measures.cqs_pure(psi, p, group)
     parts = [marginal_cqs(psi, i, p) for i in group]
     violations = [0] if lhs > sum(parts) + POLYGON_TOL else []
@@ -95,14 +96,15 @@ def polygon_group_check(psi: states.PureState, group, p: ParamPair) -> PolygonRe
 
 def monogamy_window(p: ParamPair) -> bool:
     """Window where the monogamy inequality is guaranteed."""
-    return p.q >= 2 and 0 <= p.s <= 1 and 1 <= p.q * p.s <= 3
+    return _params(p).q >= 2 and 0 <= p.s <= 1 and 1 <= p.q * p.s <= 3
+
+
+def _q_above_one(p: ParamPair) -> bool:
+    return p.q > 1
 
 
 def require_monogamy_params(p: ParamPair) -> None:
-    if p.q <= 1:
-        raise MonogamyWindowError(
-            f"monogamy residual needs q > 1, got (q, s) = ({p.q}, {p.s})"
-        )
+    _params(p, _q_above_one, MonogamyWindowError, "the monogamy residual's window q > 1")
 
 
 def qubit_concurrences(state) -> tuple[float, ...]:

@@ -36,7 +36,7 @@ from .errors import (
     NotPSDError,
     RangeError,
 )
-from .errors import _require_int, _require_real
+from .errors import _require_dims, _require_real
 
 HERMITIAN_TOL = 1e-9
 EIGENVALUE_CLAMP = 1e-10
@@ -116,7 +116,7 @@ def kron(a, b) -> np.ndarray:
 
 
 def _check_bipartite(rho: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
-    da, db = _require_int(dims[0], "dimension", 1), _require_int(dims[1], "dimension", 1)
+    da, db = _require_dims(dims, 2)
     if rho.shape[0] != rho.shape[1]:
         raise NonSquareError(f"matrix is {rho.shape[0]}x{rho.shape[1]}")
     if da * db != rho.shape[0]:

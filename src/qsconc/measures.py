@@ -68,12 +68,23 @@ def classify(q: float, s: float) -> ParamPair:
     return ParamPair(float(q), float(s), Regime.UNSUPPORTED, 0)
 
 
+def _params(p, inside=None, error=None, need: str = "") -> ParamPair:
+    """``p``; ``RangeError`` unless it is a ``ParamPair``, ``error`` unless ``inside(p)``.
+
+    The one (q, s) check, for the sign regimes, regime A (polygon), the
+    bridge window, the two bound windows and q > 1 (monogamy residual).
+    The window error reads "q=..., s=... outside {need}".
+    """
+    if not isinstance(p, ParamPair):
+        raise RangeError(f"p must be a ParamPair from classify, got {p!r}")
+    if inside is not None and not inside(p):
+        raise error(f"q={p.q}, s={p.s} outside {need}")
+    return p
+
+
 def _require_supported(p: ParamPair) -> None:
-    if not p.supported:
-        raise UnsupportedRegimeError(
-            f"(q, s) = ({p.q}, {p.s}) is unsupported: admissible regimes are "
-            "q >= 1 with q*s >= 1 (sign +1) or 0 < q < 1 with 0 < q*s < 1 (sign -1)"
-        )
+    _params(p, ParamPair.supported.fget, UnsupportedRegimeError,
+            "regime A (q >= 1, q*s >= 1) or regime B (0 < q < 1, 0 < q*s < 1)")
 
 
 def _spectrum_of(rho_or_spectrum) -> np.ndarray:
@@ -135,7 +146,7 @@ def concurrence_bridge(x: float, p: ParamPair) -> float:
     the formula beyond it.
     """
     _require_real(x, "concurrence", -1e-9, 1 + 1e-9)
-    if p.q == 1.0:
+    if _params(p).q == 1.0:
         raise RangeError("bridge is singular at q = 1")
     x = min(max(x, 0.0), 1.0)
     r = math.sqrt(max(0.0, 1.0 - x * x))
@@ -175,15 +186,12 @@ def wootters_concurrence(rho) -> float:
 
 def bridge_window(p: ParamPair) -> bool:
     """Window where the bridge identity for mixed qubit-qudit states holds."""
-    return p.q >= 1 and 0 <= p.s <= 1 and 1 <= p.q * p.s <= 3
+    return _params(p).q >= 1 and 0 <= p.s <= 1 and 1 <= p.q * p.s <= 3
 
 
 def cqs_mixed_two_qubit(rho, p: ParamPair) -> float:
     """Normalized measure of a two-qubit mixed state via the bridge identity."""
-    if not bridge_window(p):
-        raise BridgeWindowError(
-            f"(q, s) = ({p.q}, {p.s}) outside the bridge window "
-            "q >= 1, 0 <= s <= 1, 1 <= q*s <= 3"
-        )
+    _params(p, bridge_window, BridgeWindowError,
+            "the bridge window q >= 1, 0 <= s <= 1, 1 <= q*s <= 3")
     c = wootters_concurrence(rho)
     return concurrence_bridge(c, p)

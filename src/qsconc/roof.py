@@ -57,7 +57,6 @@ from .errors import (
     NumericError,
     RangeError,
     TooLargeError,
-    UnsupportedRegimeError,
     _require_int,
     _require_real,
 )
@@ -344,10 +343,7 @@ def roof_estimate(rho: states.DensityMatrix, p: measures.ParamPair,
                   config: RoofConfig | None = None) -> RoofResult:
     """Minimize the ensemble-averaged measure over pure-state decompositions."""
     cfg = config or RoofConfig()
-    if p.regime is measures.Regime.UNSUPPORTED:
-        raise UnsupportedRegimeError(
-            f"(q, s) = ({p.q}, {p.s}) is in neither admissible regime"
-        )
+    measures._require_supported(p)
     da, db = states._bipartite_dims(rho)
     side = da * db
     if side > MAX_SIDE:

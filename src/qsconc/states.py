@@ -35,16 +35,12 @@ from .errors import (
     NotPSDError,
     RangeError,
     StateFormatError,
+    _require_dims,
     _require_int,
     _require_real,
 )
 
 NORM_TOL = 1e-9
-
-
-def _dims(dims) -> tuple[int, ...]:
-    """Subsystem dimensions as a tuple of ints, each an integer >= 1."""
-    return tuple(_require_int(d, "dimension", 1) for d in dims)
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _dims(self.dims))
+        object.__setattr__(self, "dims", _require_dims(self.dims))
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
         if math.prod(self.dims) != amps.size:
@@ -88,7 +84,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _dims(self.dims))
+        object.__setattr__(self, "dims", _require_dims(self.dims))
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         side = math.prod(self.dims)
@@ -181,11 +177,16 @@ def _split_group(split, n: int) -> list[int]:
     return group
 
 
-def _group_coefficient_matrix(psi: PureState, split) -> np.ndarray:
-    """Reshape amplitudes into the (group, rest) coefficient matrix."""
+def _pure_parties(psi: PureState) -> int:
+    """Number of parties of a pure state."""
     if not isinstance(psi, PureState):
         raise NotAStateError(f"expected a PureState, got {type(psi).__name__}")
-    n = psi.n_parties
+    return psi.n_parties
+
+
+def _group_coefficient_matrix(psi: PureState, split) -> np.ndarray:
+    """Reshape amplitudes into the (group, rest) coefficient matrix."""
+    n = _pure_parties(psi)
     group = _split_group(split, n)
     rest = [i for i in range(n) if i not in group]
     t = psi.amplitudes.reshape(psi.dims)
@@ -271,7 +272,7 @@ def gen_schmidt3(params: GenSchmidt3) -> PureState:
 def haar_random_pure(dims, seed: int) -> PureState:
     """Pure state drawn from the unitarily invariant measure."""
     _require_int(seed, "seed", 0)
-    dims = _dims(dims)
+    dims = _require_dims(dims)
     rng = np.random.default_rng(seed)
     n = math.prod(dims)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -292,7 +293,7 @@ def haar_random_unitary(d: int, seed: int) -> np.ndarray:
 def random_mixed(dims, rank: int, seed: int) -> DensityMatrix:
     """Seeded mixed state: Dirichlet(1,..,1) mixture of Haar pure states."""
     _require_int(seed, "seed", 0)
-    dims = _dims(dims)
+    dims = _require_dims(dims)
     n = math.prod(dims)
     rank = _require_int(rank, "rank", 1, n)
     rng = np.random.default_rng(seed)

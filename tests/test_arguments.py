@@ -1,15 +1,20 @@
-"""Argument checks at every public entry that takes an integer or (q, s).
+"""Argument checks at every public entry that takes an integer, dims or (q, s).
 
 Each row names a call with one argument left open, a valid value for it
 and a value outside its range. Integer arguments (dimensions, counts,
 seeds, m) reject a float, a bool and a string as well as an out-of-range
 integer; real arguments reject a bool, a string and a list. All of these
-are ``RangeError`` (exit 2). numpy integers and floats pass.
+are ``RangeError`` (exit 2). numpy integers and floats pass. Every public
+function that takes ``p`` rejects anything but a ``ParamPair``; that list
+is read from the signatures, so a new function cannot skip the check.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
+import qsconc
 from qsconc import bounds, closed_forms as cf, inequalities, linalg, measures, roof, states
 from qsconc.errors import NotAStateError, RangeError
 
@@ -121,9 +126,66 @@ RHO3 = states.haar_random_pure((2, 2, 2), seed=1).to_density()
     lambda: roof.roof_estimate(PSI, P22),
     lambda: measures.wootters_concurrence(PSI),
     lambda: measures.cqs_mixed_two_qubit(PSI, measures.classify(2, 1)),
+    lambda: inequalities.polygon_check(np.ones(8) / 8**0.5, P22),
+    lambda: inequalities.polygon_group_check(np.ones(8) / 8**0.5, [0], P22),
 ], ids=["cqs_pure-rho", "schmidt-rho", "polygon_check-rho", "detect-psi", "detect-array",
-        "roof_estimate-psi", "wootters-psi", "mixed_two_qubit-psi"])
+        "roof_estimate-psi", "wootters-psi", "mixed_two_qubit-psi", "polygon_check-array",
+        "polygon_group_check-array"])
 def test_wrong_state_type_is_not_a_state_error(call):
     # Each raised an AttributeError or a bare TypeError.
     with pytest.raises(NotAStateError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: states.PureState((), np.array([1.0])), id="PureState-empty"),
+    pytest.param(lambda: states.DensityMatrix((), np.ones((1, 1))), id="DensityMatrix-empty"),
+    pytest.param(lambda: states.PureState(4, np.full(4, 0.5)), id="PureState-scalar"),
+    pytest.param(lambda: states.haar_random_pure((), seed=0), id="haar_random_pure-empty"),
+    pytest.param(lambda: states.random_mixed(4, 1, seed=0), id="random_mixed-scalar"),
+    pytest.param(lambda: linalg.partial_transpose(QUARTER, (2, 2, 7)),
+                 id="partial_transpose-three"),
+    pytest.param(lambda: linalg.realign(QUARTER, (2, 2, 7)), id="realign-three"),
+    pytest.param(lambda: linalg.partial_trace(QUARTER, (2, 2, 7)), id="partial_trace-three"),
+    pytest.param(lambda: linalg.partial_transpose(QUARTER, (4,)), id="partial_transpose-one"),
+])
+def test_dims_must_be_a_nonempty_sequence(call):
+    # Empty dims built a 0-party state, a third linalg dim was ignored, and
+    # a scalar or a single linalg dim raised a bare TypeError or IndexError.
+    with pytest.raises(RangeError):
+        call()
+
+
+# A value for every parameter besides ``p`` of a public function that takes it.
+PSI3 = states.haar_random_pure((2, 2, 2), seed=1)
+ARGS_BY_NAME = {
+    "rho": BELL,
+    "psi": PSI3,
+    "state": PSI3,
+    "norm": 1.5,
+    "m": 2,
+    "x": 0.5,
+    "j": 0,
+    "group": [0],
+    "split": 0,
+    "concurrences": (0.5, 0.3),
+    "params": states.GenSchmidt3(0.6, 0, 0.8, 0, 0),
+    "rho_or_spectrum": [0.5, 0.5],
+    "config": roof.RoofConfig(restarts=1, iterations=0),
+}
+TAKES_P = sorted(
+    name for name, obj in vars(qsconc).items()
+    if inspect.isfunction(obj) and "p" in inspect.signature(obj).parameters)
+assert len(TAKES_P) >= 24, f"the signature scan found only {TAKES_P}"
+
+
+@pytest.mark.parametrize("name", TAKES_P)
+def test_p_must_be_a_param_pair(name):
+    # Each raised a bare AttributeError on a tuple, None or a string.
+    func = getattr(qsconc, name)
+    params = [k for k in inspect.signature(func).parameters if k != "p"]
+    missing = [k for k in params if k not in ARGS_BY_NAME]
+    assert not missing, f"{name}: add {missing} to ARGS_BY_NAME"
+    for bad in ((2, 1), None, "2,1"):
+        with pytest.raises(RangeError, match="ParamPair"):
+            func(p=bad, **{k: ARGS_BY_NAME[k] for k in params})
