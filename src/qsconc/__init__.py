@@ -51,12 +51,8 @@ from .inequalities import (
 )
 from .linalg import (
     hermitian_eigenvalues,
-    kron,
-    partial_trace,
     partial_transpose,
     realign,
-    schatten_norm,
-    singular_values,
     trace_norm,
 )
 from .measures import (

@@ -225,7 +225,6 @@ def bound_auto(rho: states.DensityMatrix, p: ParamPair) -> BoundReport:
 
 def pure_state_norm(spectrum) -> float:
     """(sum_i sqrt(lambda_i))^2, the common reshuffle norm of a pure state."""
-    if isinstance(spectrum, states.SchmidtSpectrum):
-        spectrum = spectrum.values
-    lam = np.clip(np.asarray(spectrum, dtype=float), 0.0, None)
+    lam = states._require_state(spectrum, states.SchmidtSpectrum,
+                                build=states.SchmidtSpectrum).values
     return float(np.sum(np.sqrt(lam)) ** 2)

@@ -87,7 +87,12 @@ class MonogamyWindowError(ParamsError):
 
 
 class NotAStateError(InputError):
-    """Argument is neither a PureState nor a DensityMatrix."""
+    """Argument is not of a state kind the entry takes.
+
+    The kinds are ``PureState``, ``DensityMatrix``, ``SchmidtSpectrum`` and
+    ``GenSchmidt3``. An entry that also takes a bare array checks it through
+    the type it stands for, whose own errors it then raises.
+    """
 
 
 class NotQubitsError(InputError):

@@ -27,7 +27,6 @@ from .errors import (
     BadPartitionError,
     MixedGlobalStateError,
     MonogamyWindowError,
-    NotAStateError,
     NotQubitsError,
     UnsupportedRegimeError,
 )
@@ -70,10 +69,10 @@ def marginal_cqs(psi: states.PureState, j: int, p: ParamPair) -> float:
 def polygon_check(psi: states.PureState, p: ParamPair) -> PolygonReport:
     """Verify every one-to-rest marginal against the sum of the others."""
     _require_regime_a(p)
-    n = states._pure_parties(psi)
+    n = states._require_state(psi, states.PureState).n_parties
     if n < 3:
         raise BadPartitionError(f"polygon check needs n >= 3 parties, got {n}")
-    marg = [marginal_cqs(psi, j, p) for j in range(n)]
+    marg = [measures.cqs_pure(psi, p, j) for j in range(n)]
     total = sum(marg)
     violations = [j for j in range(n) if marg[j] > total - marg[j] + POLYGON_TOL]
     return PolygonReport(marg, violations)
@@ -87,9 +86,9 @@ def polygon_group_check(psi: states.PureState, group, p: ParamPair) -> PolygonRe
     a violation is flagged under index 0.
     """
     _require_regime_a(p)
-    group = states._split_group(group, states._pure_parties(psi))
+    group = states._split_group(group, states._require_state(psi, states.PureState).n_parties)
     lhs = measures.cqs_pure(psi, p, group)
-    parts = [marginal_cqs(psi, i, p) for i in group]
+    parts = [measures.cqs_pure(psi, p, i) for i in group]
     violations = [0] if lhs > sum(parts) + POLYGON_TOL else []
     return PolygonReport([lhs] + parts, violations)
 
@@ -113,17 +112,14 @@ def qubit_concurrences(state) -> tuple[float, ...]:
     C(0|rest) is the pure-state concurrence of qubit 0 against the rest;
     each C(0,i) is the Wootters concurrence of the reduced pair (0, i).
     """
-    if isinstance(state, states.PureState):
-        psi = state
-    elif isinstance(state, states.DensityMatrix):
-        w, v = np.linalg.eigh(state.matrix)
+    psi = states._require_state(state, states.PureState, states.DensityMatrix)
+    if isinstance(psi, states.DensityMatrix):
+        w, v = np.linalg.eigh(psi.matrix)
         if w.size > 1 and w[-2] > 1e-9:
             raise MixedGlobalStateError(
                 "global state is mixed; the one-to-rest term needs a pure input"
             )
-        psi = states.PureState(state.dims, v[:, -1] / np.linalg.norm(v[:, -1]))
-    else:
-        raise NotAStateError(f"expected a PureState or DensityMatrix, got {type(state).__name__}")
+        psi = states.PureState(psi.dims, v[:, -1] / np.linalg.norm(v[:, -1]))
     n = psi.n_parties
     if n < 2 or any(d != 2 for d in psi.dims):
         raise NotQubitsError(f"need two or more qubits, dims={psi.dims}")
@@ -135,7 +131,7 @@ def qubit_concurrences(state) -> tuple[float, ...]:
 
 def gen3_concurrences(params: states.GenSchmidt3) -> tuple[float, float, float]:
     """Analytic concurrences (A|BC, A|B, A|C) of a generalized-Schmidt state."""
-    l0, l1, l2, l3, _ = params.lams
+    l0, l1, l2, l3, _ = states._require_state(params, states.GenSchmidt3).lams
     c_abc = math.sqrt(max(0.0, 4.0 * l0 * l0 * (1.0 - l0 * l0 - l1 * l1)))
     return c_abc, 2.0 * l0 * l2, 2.0 * l0 * l3
 

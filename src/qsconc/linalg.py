@@ -1,9 +1,10 @@
 """Dense complex matrix kernels.
 
-Eigen/singular spectra, Schatten and trace norms, and the tensor
-reshuffling primitives (partial trace, partial transpose, realignment)
-used by the detection criteria. All functions are pure and operate on
-plain ndarrays, and every one rejects a NaN or infinite entry with
+Hermitian spectra, the trace norm, and the two tensor reshuffles
+(partial transpose, realignment) used by the detection criteria. All
+functions are pure and operate on plain ndarrays. Every one rejects a
+non-numeric argument (a string, or a state object in place of its
+matrix) with ``RangeError`` and a NaN or infinite entry with
 ``NonFiniteInputError`` before any LAPACK call sees it.
 
 ``trace_norm`` picks its kernel from the input: a square matrix that is
@@ -33,17 +34,19 @@ from .errors import (
     NonFiniteInputError,
     NonHermitianError,
     NonSquareError,
-    NotPSDError,
     RangeError,
 )
-from .errors import _require_dims, _require_real
+from .errors import _require_dims
 
 HERMITIAN_TOL = 1e-9
 EIGENVALUE_CLAMP = 1e-10
 
 
 def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m)
+    if a.dtype.kind not in "biufc":
+        raise RangeError(f"expected a matrix of numbers, got {type(m).__name__}")
+    a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise NonSquareError(f"expected a 2-d array, got ndim={a.ndim}")
     if not np.isfinite(a).all():
@@ -79,11 +82,6 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     return w
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values of any matrix, sorted descending."""
-    return np.linalg.svd(_as_matrix(m), compute_uv=False)
-
-
 def trace_norm(m) -> float:
     """Trace norm ||M||_1 = sum of singular values.
 
@@ -97,22 +95,7 @@ def trace_norm(m) -> float:
     m = _as_matrix(m)
     if m.shape[0] == m.shape[1] and np.array_equal(m, m.conj().T):
         return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-    return float(np.sum(singular_values(m)))
-
-
-def schatten_norm(m, q: float) -> float:
-    """Schatten q-norm (tr M^q)^(1/q) of a PSD matrix, q >= 1."""
-    _require_real(q, "Schatten norm q", 1)
-    w = hermitian_eigenvalues(m)
-    if w.size and w[-1] < -1e-9:
-        raise NotPSDError(f"eigenvalue {w[-1]:.3e} below PSD tolerance")
-    w = np.clip(w, 0.0, None)
-    return float(np.sum(w**q) ** (1.0 / q))
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 def _check_bipartite(rho: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
@@ -124,25 +107,6 @@ def _check_bipartite(rho: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
             f"dims {da}x{db} do not match matrix side {rho.shape[0]}"
         )
     return da, db
-
-
-def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
-    """Reduced operator of a bipartite matrix.
-
-    Parameters
-    ----------
-    rho : array, square of side dA*dB
-    dims : (dA, dB)
-    keep : "A" or "B", the subsystem to keep.
-    """
-    rho = _as_matrix(rho)
-    da, db = _check_bipartite(rho, dims)
-    t = rho.reshape(da, db, da, db)
-    if keep == "A":
-        return np.einsum("ijkj->ik", t)
-    if keep == "B":
-        return np.einsum("ijil->jl", t)
-    raise RangeError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def partial_transpose(rho, dims: tuple[int, int]) -> np.ndarray:

@@ -22,12 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, states
+from . import states
 from .errors import (
     BridgeWindowError,
     DimensionMismatchError,
-    NotAStateError,
-    NotPSDError,
     NotQubitSideError,
     RangeError,
     UnsupportedRegimeError,
@@ -87,21 +85,24 @@ def _require_supported(p: ParamPair) -> None:
             "regime A (q >= 1, q*s >= 1) or regime B (0 < q < 1, 0 < q*s < 1)")
 
 
+def _array_state(a):
+    """A bare matrix as a one-party DensityMatrix, anything else as a SchmidtSpectrum."""
+    return states.DensityMatrix((len(a),), a) if np.ndim(a) == 2 else states.SchmidtSpectrum(a)
+
+
 def _spectrum_of(rho_or_spectrum) -> np.ndarray:
-    if isinstance(rho_or_spectrum, states.DensityMatrix):
-        lam = rho_or_spectrum.eigenvalues()
-    elif isinstance(rho_or_spectrum, states.SchmidtSpectrum):
-        lam = rho_or_spectrum.values
-    else:
-        arr = np.asarray(rho_or_spectrum)
-        lam = linalg.hermitian_eigenvalues(arr) if arr.ndim == 2 else arr.astype(float)
-    if lam.size and np.min(lam) < -1e-9:
-        raise NotPSDError(f"spectrum entry {np.min(lam):.3e} below PSD tolerance")
+    x = states._require_state(rho_or_spectrum, states.DensityMatrix, states.SchmidtSpectrum,
+                              build=_array_state)
+    lam = x.eigenvalues() if isinstance(x, states.DensityMatrix) else x.values
     return np.clip(lam, 0.0, None)
 
 
 def unified_functional(rho_or_spectrum, p: ParamPair) -> float:
-    """eps * (1 - (sum lambda_i**q)**s) over the eigenvalue spectrum."""
+    """eps * (1 - (sum lambda_i**q)**s) over the eigenvalue spectrum.
+
+    A bare matrix is checked as a one-party ``DensityMatrix``, any other
+    bare array as a ``SchmidtSpectrum``.
+    """
     _require_supported(p)
     lam = _spectrum_of(rho_or_spectrum)
     t = float(np.sum(lam**p.q))
@@ -126,7 +127,7 @@ def bell_normalizer(p: ParamPair) -> float:
 
 def normalized_cqs_pure(psi: states.PureState, p: ParamPair) -> float:
     """Normalized measure of a qubit-qudit pure state, in [0, 1]."""
-    if psi.dims[0] != 2:
+    if states._require_state(psi, states.PureState).dims[0] != 2:
         raise NotQubitSideError(f"first subsystem must be a qubit, dims={psi.dims}")
     return cqs_pure(psi, p, split=0) / bell_normalizer(p)
 
@@ -167,16 +168,11 @@ _SIGMA_YY = np.array(
 
 def wootters_concurrence(rho) -> float:
     """Two-qubit mixed-state concurrence max(0, mu1 - mu2 - mu3 - mu4)."""
-    if isinstance(rho, states.DensityMatrix):
-        if rho.dims != (2, 2):
-            raise DimensionMismatchError(f"need a 2x2 system, dims={rho.dims}")
-        m = rho.matrix
-    elif isinstance(rho, states.PureState):
-        raise NotAStateError("need a two-qubit density matrix, got a PureState")
-    else:
-        m = np.asarray(rho, dtype=complex)
-        if m.shape != (4, 4):
-            raise DimensionMismatchError(f"need a 4x4 matrix, got {m.shape}")
+    rho = states._require_state(rho, states.DensityMatrix,
+                                build=lambda m: states.DensityMatrix((2, 2), m))
+    if rho.dims != (2, 2):
+        raise DimensionMismatchError(f"need a 2x2 system, dims={rho.dims}")
+    m = rho.matrix
     r = m @ _SIGMA_YY @ m.conj() @ _SIGMA_YY
     ev = np.linalg.eigvals(r).real
     mu = np.sqrt(np.clip(ev, 0.0, None))

@@ -35,6 +35,7 @@ from .errors import (
     NotPSDError,
     RangeError,
     StateFormatError,
+    _real,
     _require_dims,
     _require_int,
     _require_real,
@@ -119,7 +120,12 @@ class SchmidtSpectrum:
     rank: int = field(init=False)
 
     def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float))[::-1].copy()
+        v = _real(self.values)
+        if v.ndim != 1:
+            raise DimensionMismatchError(f"Schmidt values need a 1-d array, got ndim={v.ndim}")
+        if not np.isfinite(v).all():
+            raise NonFiniteInputError("Schmidt values hold a NaN or infinite entry")
+        v = np.sort(v)[::-1].copy()
         v[np.abs(v) < linalg.EIGENVALUE_CLAMP] = 0.0
         object.__setattr__(self, "values", v)
         if v.size and (v[-1] < 0 or v[0] > 1 + NORM_TOL):
@@ -177,16 +183,24 @@ def _split_group(split, n: int) -> list[int]:
     return group
 
 
-def _pure_parties(psi: PureState) -> int:
-    """Number of parties of a pure state."""
-    if not isinstance(psi, PureState):
-        raise NotAStateError(f"expected a PureState, got {type(psi).__name__}")
-    return psi.n_parties
+def _require_state(x, *kinds, build=None):
+    """``x`` if it is one of ``kinds``, else ``build(x)``: the one test of a state's kind.
+
+    A state of another kind, or anything else when there is no ``build``,
+    is ``NotAStateError``. ``build`` is the type that checks a bare array
+    standing for the kind wanted, such as ``SchmidtSpectrum`` for a spectrum.
+    """
+    if isinstance(x, kinds):
+        return x
+    if build is None or isinstance(x, (PureState, DensityMatrix, SchmidtSpectrum, GenSchmidt3)):
+        raise NotAStateError(
+            f"expected a {' or '.join(k.__name__ for k in kinds)}, got {type(x).__name__}")
+    return build(x)
 
 
 def _group_coefficient_matrix(psi: PureState, split) -> np.ndarray:
     """Reshape amplitudes into the (group, rest) coefficient matrix."""
-    n = _pure_parties(psi)
+    n = _require_state(psi, PureState).n_parties
     group = _split_group(split, n)
     rest = [i for i in range(n) if i not in group]
     t = psi.amplitudes.reshape(psi.dims)
@@ -215,9 +229,7 @@ def reduced_state(psi: PureState, split) -> np.ndarray:
 
 def _bipartite_dims(rho: DensityMatrix) -> tuple[int, int]:
     """(da, db) of a two-party density matrix."""
-    if not isinstance(rho, DensityMatrix):
-        raise NotAStateError(f"expected a DensityMatrix, got {type(rho).__name__}")
-    if rho.n_parties != 2:
+    if _require_state(rho, DensityMatrix).n_parties != 2:
         raise DimensionMismatchError(f"need a bipartite state, dims={rho.dims}")
     return rho.dims
 
@@ -259,7 +271,7 @@ def werner(w: float, d: int) -> DensityMatrix:
 
 def gen_schmidt3(params: GenSchmidt3) -> PureState:
     """Three-qubit state lam0|000> + lam1 e^{i phi}|100> + lam2|101> + lam3|110> + lam4|111>."""
-    l0, l1, l2, l3, l4 = params.lams
+    l0, l1, l2, l3, l4 = _require_state(params, GenSchmidt3).lams
     v = np.zeros(8, dtype=complex)
     v[0b000] = l0
     v[0b100] = l1 * np.exp(1j * params.phi)
@@ -354,6 +366,7 @@ def load_state_json(path) -> PureState | DensityMatrix:
 
 def save_state_json(state: PureState | DensityMatrix, path) -> None:
     """Write a state in the JSON schema read by ``load_state_json``."""
+    state = _require_state(state, PureState, DensityMatrix)
     if isinstance(state, PureState):
         kind, flat = "pure", state.amplitudes
     else:

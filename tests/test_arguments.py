@@ -7,6 +7,8 @@ integer; real arguments reject a bool, a string and a list. All of these
 are ``RangeError`` (exit 2). numpy integers and floats pass. Every public
 function that takes ``p`` rejects anything but a ``ParamPair``; that list
 is read from the signatures, so a new function cannot skip the check.
+The same holds for every public function that takes a state, spectrum
+or generalized-Schmidt parameter set: each bad value is an ``InputError``.
 """
 
 import inspect
@@ -16,7 +18,7 @@ import pytest
 
 import qsconc
 from qsconc import bounds, closed_forms as cf, inequalities, linalg, measures, roof, states
-from qsconc.errors import NotAStateError, RangeError
+from qsconc.errors import InputError, NotAStateError, RangeError
 
 P22 = measures.classify(2, 2)
 P55 = measures.classify(0.5, 0.5)
@@ -37,7 +39,6 @@ INTEGER_ARGS = [
     ("random_mixed-dims", lambda x: states.random_mixed((x, 2), 2, seed=0), 2, 0),
     ("random_mixed-rank", lambda x: states.random_mixed((2, 2), x, seed=0), 2, 5),
     ("random_mixed-seed", lambda x: states.random_mixed((2, 2), 2, seed=x), 3, -1),
-    ("partial_trace-dims", lambda x: linalg.partial_trace(QUARTER, (x, 2)), 2, 0),
     ("partial_transpose-dims", lambda x: linalg.partial_transpose(QUARTER, (2, x)), 2, 0),
     ("realign-dims", lambda x: linalg.realign(QUARTER, (x, 2)), 2, 0),
     ("isotropic_gamma_delta-d", lambda x: cf.isotropic_gamma_delta(0.7, x), 3, 1),
@@ -76,7 +77,6 @@ REAL_ARGS = [
     ("werner-w", lambda x: states.werner(x, 3), 0.5, -0.5),
     ("concurrence_bridge-x", lambda x: measures.concurrence_bridge(x, P22), 0.5, 1.5),
     ("RoofConfig-tolerance", lambda x: roof.RoofConfig(tolerance=x), 1e-6, np.inf),
-    ("schatten_norm-q", lambda x: linalg.schatten_norm(QUARTER, x), 2.0, 0.5),
 ]
 
 
@@ -146,7 +146,6 @@ def test_wrong_state_type_is_not_a_state_error(call):
     pytest.param(lambda: linalg.partial_transpose(QUARTER, (2, 2, 7)),
                  id="partial_transpose-three"),
     pytest.param(lambda: linalg.realign(QUARTER, (2, 2, 7)), id="realign-three"),
-    pytest.param(lambda: linalg.partial_trace(QUARTER, (2, 2, 7)), id="partial_trace-three"),
     pytest.param(lambda: linalg.partial_transpose(QUARTER, (4,)), id="partial_transpose-one"),
 ])
 def test_dims_must_be_a_nonempty_sequence(call):
@@ -189,3 +188,69 @@ def test_p_must_be_a_param_pair(name):
     for bad in ((2, 1), None, "2,1"):
         with pytest.raises(RangeError, match="ParamPair"):
             func(p=bad, **{k: ARGS_BY_NAME[k] for k in params})
+
+
+# Bad values for the state argument of every public function that takes one.
+NAN44 = np.full((4, 4), np.nan)
+SKEW44 = np.triu(np.ones((4, 4))) / 4  # trace one, not Hermitian
+CUBE = np.full((2, 2, 2), 0.125)
+GEN3 = states.GenSchmidt3(0.6, 0, 0.8, 0, 0)
+NOT_PURE = [BELL, PSI.amplitudes]
+NOT_DENSITY = [PSI, QUARTER, NAN44]
+NOT_TWO_QUBIT = [PSI, NAN44, SKEW44, np.eye(9) / 9]
+NOT_MATRIX = [BELL, PSI, NAN44]
+NOT_GEN3 = [(0.6, 0, 0.8, 0, 0), PSI]
+NOT_SPECTRUM = [PSI, [np.nan, 1.0], CUBE, [0.5, 0.6]]
+BAD_STATES = {
+    "bound_auto": NOT_DENSITY,
+    "concurrence_pure": NOT_PURE,
+    "cqs_mixed_two_qubit": NOT_TWO_QUBIT,
+    "cqs_pure": NOT_PURE,
+    "detect": NOT_DENSITY,
+    "gen3_concurrences": NOT_GEN3,
+    "gen_schmidt3": NOT_GEN3,
+    "marginal_cqs": NOT_PURE,
+    "monogamy_residual_gen3": NOT_GEN3,
+    "monogamy_residual_qubits": [QUARTER, PSI3.amplitudes, GEN3],
+    "normalized_cqs_pure": NOT_PURE + [np.ones(4) / 2],
+    "partial_transpose": NOT_MATRIX,
+    "polygon_check": NOT_PURE,
+    "polygon_group_check": NOT_PURE,
+    "pure_state_norm": NOT_SPECTRUM + [BELL],
+    "qubit_concurrences": [QUARTER, PSI3.amplitudes, GEN3],
+    "realign": NOT_MATRIX,
+    "reduced_state": NOT_PURE,
+    "roof_estimate": NOT_DENSITY,
+    "roof_estimate_normalized": NOT_DENSITY,
+    "sandwich_check": NOT_DENSITY,
+    "save_state_json": [QUARTER, PSI.amplitudes, states.schmidt(PSI)],
+    "schmidt": NOT_PURE,
+    "unified_functional": NOT_SPECTRUM + [GEN3, NAN44, SKEW44],
+    "wootters_concurrence": NOT_TWO_QUBIT,
+}
+STATE_PARAMS = {"rho", "psi", "state", "params", "rho_or_spectrum", "spectrum"}
+TAKES_STATE = sorted(
+    name for name, obj in vars(qsconc).items()
+    if inspect.isfunction(obj) and STATE_PARAMS & inspect.signature(obj).parameters.keys())
+assert len(TAKES_STATE) >= 25, f"the signature scan found only {TAKES_STATE}"
+# Inside every window a function checks: regime A, both bound windows, the
+# bridge window and the monogamy residual's.
+P_ALL = measures.classify(2.5, 1)
+
+
+@pytest.mark.parametrize("name", TAKES_STATE)
+def test_bad_state_is_an_input_error(name, tmp_path):
+    # Unchecked, a tuple, a bare array or a state of the wrong kind raised a
+    # bare AttributeError or TypeError in several of these, a NaN spectrum
+    # gave NaN and a non-Hermitian 4x4 gave a concurrence.
+    assert name in BAD_STATES, f"add {name} to BAD_STATES"
+    func = getattr(qsconc, name)
+    params = list(inspect.signature(func).parameters)
+    (key,) = STATE_PARAMS.intersection(params)
+    valid = {**ARGS_BY_NAME, "p": P_ALL, "dims": (2, 2), "path": tmp_path / "state.json"}
+    missing = [k for k in params if k != key and k not in valid]
+    assert not missing, f"{name}: add {missing} to ARGS_BY_NAME"
+    for bad in BAD_STATES[name]:
+        with pytest.raises(InputError):
+            func(**{k: valid[k] for k in params if k != key}, **{key: bad})
+    assert not (tmp_path / "state.json").exists()

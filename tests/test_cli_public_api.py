@@ -1,14 +1,19 @@
-"""The CLI and the demos reach the library through its public names only."""
+"""The CLI and the demos reach the library through its public names only,
+and every public name has a caller or implements one of the paper's formulas."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
+import qsconc
 from qsconc import cli
 
 CLI_SOURCE = Path(cli.__file__).read_text()
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 def _is_private(name: str) -> bool:
@@ -83,3 +88,51 @@ def test_guard_finds_the_cli_module_imports():
     # Without them the first test would pass vacuously.
     modules = _qsconc_modules(ast.parse(CLI_SOURCE))
     assert {"bounds", "closed_forms", "inequalities", "measures", "states"} <= modules
+
+
+# Exports that neither the CLI, the demos nor bench/ name, each with the
+# formula of the paper it implements, or the formula's input or result.
+PAPER_FORMULAS = {
+    "bound_value_regime_a": "the published regime-A bound g(N)",
+    "bound_value_regime_b": "the published regime-B bound",
+    "bound_value_tight": "the sound single-norm bound co R_m(N/m)",
+    "bridge_window": "the (q, s) window of the qubit-qudit bridge identity",
+    "in_regime_a_window": "the (q, s) window of the regime-A bound",
+    "in_regime_b_window": "the (q, s) window of the regime-B bound",
+    "haar_random_unitary": "the local unitaries that leave every measure unchanged; tests draw them",
+    "ParamPair": "(q, s) with its sign regime and factor eps",
+    "Regime": "the sign regimes A and B",
+    "SchmidtSpectrum": "the Schmidt spectrum that defines the pure-state measure",
+    "BoundReport": "both reshuffle norms and the bound detect and bound_auto return",
+    "DetectedBy": "which reshuffle criterion fires",
+    "EnvelopeCurve": "the convex envelope of an isotropic or Werner curve",
+    "IsotropicExtremum": "the isotropic curve's extremum over Schmidt spectra",
+    "MonogamyReport": "the monogamy residual tau = K - sum K_i and its terms",
+    "PolygonReport": "the polygon inequality's marginals and violations",
+    "RoofResult": "the convex-roof estimate and its decomposition",
+    "SandwichReport": "a norm lower bound against the roof upper estimate",
+}
+
+
+def _names_used(path: Path) -> set[str]:
+    """Names, attributes, imported names and strings (traced names) in a file."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_export_has_a_caller_or_is_a_paper_formula():
+    exports = {name for name, obj in vars(qsconc).items()
+               if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))}
+    used = set().union(*map(_names_used, [Path(cli.__file__), *DEMOS, *BENCH]))
+    assert sorted(exports - used - PAPER_FORMULAS.keys()) == []
+    assert sorted(PAPER_FORMULAS.keys() - exports) == []
+    assert sorted(PAPER_FORMULAS.keys() & used) == []

@@ -345,6 +345,15 @@ class TestValidation:
         m[0, 3] = bad
         with pytest.raises(InputError):
             states.DensityMatrix((2, 2), m)
+        with pytest.raises(NonFiniteInputError):
+            states.SchmidtSpectrum([bad, 1.0])
+
+    @pytest.mark.parametrize("values", [0.5, np.full((2, 2), 0.25), np.full((2, 2, 2), 0.125)],
+                             ids=["scalar", "matrix", "cube"])
+    def test_spectrum_must_be_one_dimensional(self, values):
+        # A matrix raised a bare ValueError and a scalar a bare AxisError.
+        with pytest.raises(DimensionMismatchError, match="1-d"):
+            states.SchmidtSpectrum(values)
 
     def test_non_hermitian_density_named(self):
         m = np.diag([0.5, 0.5]).astype(complex)
